@@ -86,7 +86,7 @@ void BM_AreaCoverageMetric(benchmark::State& state) {
   const trace::Dataset protected_d = mech.protect_dataset(data, 1);
   const metrics::AreaCoverage metric;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(metric.evaluate(data, protected_d));
+    benchmark::DoNotOptimize(metric.evaluate(metrics::EvalContext(data, protected_d)));
   }
 }
 BENCHMARK(BM_AreaCoverageMetric);
@@ -97,7 +97,7 @@ void BM_PoiRetrievalMetric(benchmark::State& state) {
   const trace::Dataset protected_d = mech.protect_dataset(data, 1);
   const metrics::PoiRetrieval metric;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(metric.evaluate(data, protected_d));
+    benchmark::DoNotOptimize(metric.evaluate(metrics::EvalContext(data, protected_d)));
   }
 }
 BENCHMARK(BM_PoiRetrievalMetric);

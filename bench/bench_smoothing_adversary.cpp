@@ -37,9 +37,9 @@ class SmoothedPoiRetrieval final : public metrics::TraceMetric {
   metrics::Direction direction() const override {
     return metrics::Direction::kLowerIsMorePrivate;
   }
-  double evaluate_trace(const trace::Trace& actual,
-                        const trace::Trace& protected_trace) const override {
-    return attack::run_smoothing_attack(actual, protected_trace, cfg_).match.recall;
+  double evaluate_trace(const metrics::EvalContext& ctx, std::size_t user) const override {
+    return attack::run_smoothing_attack(ctx.actual()[user], ctx.protected_data()[user], cfg_)
+        .match.recall;
   }
 
  private:
@@ -56,9 +56,9 @@ class AdaptivePoiRetrieval final : public metrics::TraceMetric {
   metrics::Direction direction() const override {
     return metrics::Direction::kLowerIsMorePrivate;
   }
-  double evaluate_trace(const trace::Trace& actual,
-                        const trace::Trace& protected_trace) const override {
-    return attack::run_adaptive_attack(actual, protected_trace, attack::AdaptiveAttackConfig{})
+  double evaluate_trace(const metrics::EvalContext& ctx, std::size_t user) const override {
+    return attack::run_adaptive_attack(ctx.actual()[user], ctx.protected_data()[user],
+                                       attack::AdaptiveAttackConfig{})
         .match.recall;
   }
 };

@@ -88,6 +88,8 @@ int main() {
 
   const metrics::PoiRetrieval retrieval;
   const metrics::MeanDistortion distortion;
+  const metrics::EvalContext uniform_ctx(population, uniform_protected);
+  const metrics::EvalContext elastic_ctx(population, elastic_protected);
 
   io::Table table({"user", "home zone", "uniform: retrieved", "elastic: retrieved",
                    "uniform: distortion m", "elastic: distortion m"});
@@ -97,10 +99,10 @@ int main() {
     const char* zone = density >= 10 ? "dense" : "sparse";
     table.add_row(
         {population[u].user_id(), zone,
-         io::Table::num(retrieval.evaluate_trace(population[u], uniform_protected[u]), 2),
-         io::Table::num(retrieval.evaluate_trace(population[u], elastic_protected[u]), 2),
-         io::Table::num(distortion.evaluate_trace(population[u], uniform_protected[u]), 3),
-         io::Table::num(distortion.evaluate_trace(population[u], elastic_protected[u]), 3)});
+         io::Table::num(retrieval.evaluate_trace(uniform_ctx, u), 2),
+         io::Table::num(retrieval.evaluate_trace(elastic_ctx, u), 2),
+         io::Table::num(distortion.evaluate_trace(uniform_ctx, u), 3),
+         io::Table::num(distortion.evaluate_trace(elastic_ctx, u), 3)});
   }
   table.print(std::cout);
 

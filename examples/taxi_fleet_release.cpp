@@ -64,7 +64,7 @@ int main() {
 
   // --- Audit the actual release with the attacks. ---
   const metrics::PoiRetrieval poi_metric;
-  const double measured_retrieval = poi_metric.evaluate(raw, release);
+  const double measured_retrieval = poi_metric.evaluate(metrics::EvalContext(raw, release));
 
   const attack::ReidentConfig reident_cfg;
   const double reident_rate = attack::run_reident_attack(raw, release, reident_cfg).accuracy;

@@ -1,8 +1,5 @@
 #include "io/args.h"
 
-#include <iostream>
-#include <mutex>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -52,11 +49,6 @@ ArgParser& ArgParser::add(ArgSpec spec) {
     if (existing.name == spec.name) {
       throw std::logic_error("ArgParser: duplicate option --" + spec.name);
     }
-    for (const std::string& alias : spec.deprecated_aliases) {
-      if (existing.name == alias) {
-        throw std::logic_error("ArgParser: alias --" + alias + " collides with an option");
-      }
-    }
   }
   if (spec.required && spec.default_value.has_value()) {
     throw std::logic_error("ArgParser: required option --" + spec.name + " cannot have a default");
@@ -68,37 +60,13 @@ ArgParser& ArgParser::add(ArgSpec spec) {
   return *this;
 }
 
-namespace {
-
-/// Warns about one deprecated alias at most once per process: a flag
-/// repeated on one command line (or re-parsed by a retry loop) should
-/// not spam stderr with the identical note.
-void warn_deprecated_alias_once(const std::string& alias, const std::string& canonical) {
-  static std::mutex mutex;
-  static std::set<std::string> warned;
-  const std::lock_guard<std::mutex> lock(mutex);
-  if (!warned.insert(alias).second) return;
-  std::cerr << "warning: --" << alias << " is deprecated; use --" << canonical << "\n";
-}
-
-}  // namespace
-
 ParsedArgs ArgParser::parse(const std::vector<std::string>& argv) const {
   std::map<std::string, std::string> values;
   std::vector<std::string> positional;
 
-  auto find_spec = [&](std::string& name) -> const ArgSpec* {
+  auto find_spec = [&](const std::string& name) -> const ArgSpec* {
     for (const ArgSpec& s : specs_) {
       if (s.name == name) return &s;
-    }
-    for (const ArgSpec& s : specs_) {
-      for (const std::string& alias : s.deprecated_aliases) {
-        if (alias == name) {
-          warn_deprecated_alias_once(alias, s.name);
-          name = s.name;  // store under the canonical spelling
-          return &s;
-        }
-      }
     }
     return nullptr;
   };

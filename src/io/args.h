@@ -19,10 +19,6 @@ struct ArgSpec {
   bool is_flag = false;     ///< true: presence-only, no value
   bool required = false;
   std::optional<std::string> default_value;
-  /// Old spellings still accepted for this option. Each use prints a
-  /// one-line deprecation warning to stderr and stores the value under
-  /// the canonical name.
-  std::vector<std::string> deprecated_aliases;
 };
 
 /// Parsed result with typed accessors. Accessors throw std::runtime_error

@@ -3,56 +3,20 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "geo/bbox.h"
 #include "stats/rng.h"
 
 namespace locpriv::lppm {
-namespace {
-
-ParameterSpec epsilon_spec() {
-  return {.name = "epsilon",
-          .min_value = 1e-5,
-          .max_value = 10.0,
-          .default_value = 0.01,
-          .scale = Scale::kLog,
-          .unit = "1/m",
-          .description = "privacy budget per meter; noise scale is 2/epsilon"};
-}
-
-}  // namespace
-
-TruncatedGeoInd::TruncatedGeoInd(geo::BoundingBox region)
-    : ParameterizedMechanism({epsilon_spec()}), region_(region) {
-  if (region_.empty()) throw std::invalid_argument("TruncatedGeoInd: empty region");
-}
-
-TruncatedGeoInd::TruncatedGeoInd(geo::BoundingBox region, double epsilon)
-    : TruncatedGeoInd(region) {
-  set_parameter(kEpsilon, epsilon);
-}
-
-const std::string& TruncatedGeoInd::name() const {
-  static const std::string kName = "truncated-geo-indistinguishability";
-  return kName;
-}
-
-trace::Trace TruncatedGeoInd::protect(const trace::Trace& input, std::uint64_t seed) const {
-  const double eps = parameter(kEpsilon);
-  stats::Rng rng(seed);
-  return input.map_locations([&](const trace::Event& e) {
-    for (int attempt = 0; attempt < kMaxRejections; ++attempt) {
-      const geo::Point candidate = e.location + stats::sample_planar_laplace(rng, eps);
-      if (region_.contains(candidate)) return candidate;
-    }
-    // Fallback: clamp into the region (reachable only when the true
-    // location is far outside or the noise dwarfs the region).
-    return geo::Point{std::clamp(e.location.x, region_.min().x, region_.max().x),
-                      std::clamp(e.location.y, region_.min().y, region_.max().y)};
-  });
-}
 
 ElasticGeoInd::ElasticGeoInd(std::vector<geo::Point> sites)
     : ParameterizedMechanism(
-          {epsilon_spec(),
+          {ParameterSpec{.name = kEpsilon,
+                         .min_value = 1e-5,
+                         .max_value = 10.0,
+                         .default_value = 0.01,
+                         .scale = Scale::kLog,
+                         .unit = "1/m",
+                         .description = "privacy budget per meter; noise scale is 2/epsilon"},
            ParameterSpec{.name = kDensityRadius,
                          .min_value = 50.0,
                          .max_value = 20'000.0,

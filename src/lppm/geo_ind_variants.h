@@ -1,15 +1,7 @@
-// Geo-Indistinguishability variants.
-//
-// TruncatedGeoInd — planar Laplace followed by truncation to the service
-// region (resampling until the draw lands inside). Real deployments must
-// keep outputs in the service area; naive clamping distorts the noise
-// distribution near edges, truncation-by-rejection preserves the
-// conditional distribution.
-//
-// ElasticGeoInd — a simplified rendition of the elastic
-// distinguishability metrics of Chatzikokolakis et al. (PETS'15), the
-// paper's reference [3]: the protection requirement scales with local
-// density. Sparse areas need more noise (a lone user in a field is
+// Elastic Geo-Indistinguishability — a simplified rendition of the
+// elastic distinguishability metrics of Chatzikokolakis et al. (PETS'15),
+// the paper's reference [3]: the protection requirement scales with
+// local density. Sparse areas need more noise (a lone user in a field is
 // identifiable at 300 m); dense areas less. Here the local density is
 // the count of catalog sites within `density_radius`, and the effective
 // epsilon interpolates between eps_min (empty area) and eps (dense).
@@ -17,32 +9,10 @@
 
 #include <vector>
 
-#include "geo/bbox.h"
 #include "geo/grid_index.h"
 #include "lppm/mechanism.h"
 
 namespace locpriv::lppm {
-
-class TruncatedGeoInd final : public ParameterizedMechanism {
- public:
-  /// `region` is the service area outputs must stay inside. Parameter
-  /// "epsilon" as in plain Geo-I. Throws on an empty region.
-  explicit TruncatedGeoInd(geo::BoundingBox region);
-  TruncatedGeoInd(geo::BoundingBox region, double epsilon);
-
-  [[nodiscard]] const std::string& name() const override;
-  [[nodiscard]] trace::Trace protect(const trace::Trace& input, std::uint64_t seed) const override;
-
-  [[nodiscard]] const geo::BoundingBox& region() const { return region_; }
-
-  static constexpr const char* kEpsilon = "epsilon";
-  /// Rejection attempts before falling back to clamping (pathological
-  /// inputs far outside the region would otherwise loop forever).
-  static constexpr int kMaxRejections = 64;
-
- private:
-  geo::BoundingBox region_;
-};
 
 class ElasticGeoInd final : public ParameterizedMechanism {
  public:

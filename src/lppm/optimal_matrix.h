@@ -7,8 +7,8 @@
 // geo-ind ratio constraints x_ij <= e^{eps d(i,i')} x_i'j. In log
 // domain the ratio constraints say each column of y = -log x is
 // (eps * d)-Lipschitz, which yields a fast production scheme in place
-// of the O(n^2)-variable LP (core/lp.h stays the exact reference for
-// small instances):
+// of the O(n^2)-variable LP (the tests' dense simplex stays the exact
+// reference for small instances):
 //
 //  * Envelope candidate: alternate the Lipschitz upper envelope
 //    x_ij <- max_k e^{-eps d(i,k)} x_kj (a feasibility projection; in

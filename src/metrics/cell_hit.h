@@ -15,7 +15,6 @@ class CellHitRatio final : public TraceMetric {
 
   [[nodiscard]] const std::string& name() const override;
   [[nodiscard]] Direction direction() const override { return Direction::kHigherIsMoreUseful; }
-  using TraceMetric::evaluate_trace;
   [[nodiscard]] double evaluate_trace(const EvalContext& ctx, std::size_t user) const override;
 
   [[nodiscard]] double cell_size() const { return cell_size_m_; }

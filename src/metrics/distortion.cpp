@@ -9,8 +9,9 @@ const std::string& MeanDistortion::name() const {
   return kName;
 }
 
-double MeanDistortion::evaluate_trace(const trace::Trace& actual,
-                                      const trace::Trace& protected_trace) const {
+double MeanDistortion::evaluate_trace(const EvalContext& ctx, std::size_t user) const {
+  const trace::Trace& actual = ctx.actual()[user];
+  const trace::Trace& protected_trace = ctx.protected_data()[user];
   if (actual.empty() || protected_trace.empty()) return 0.0;
   double total = 0.0;
   if (actual.size() == protected_trace.size()) {

@@ -10,13 +10,11 @@ namespace locpriv::metrics {
 
 class MeanDistortion final : public TraceMetric {
  public:
-  using TraceMetric::evaluate_trace;
   MeanDistortion() = default;
 
   [[nodiscard]] const std::string& name() const override;
   [[nodiscard]] Direction direction() const override { return Direction::kLowerIsMoreUseful; }
-  [[nodiscard]] double evaluate_trace(const trace::Trace& actual,
-                                      const trace::Trace& protected_trace) const override;
+  [[nodiscard]] double evaluate_trace(const EvalContext& ctx, std::size_t user) const override;
 };
 
 }  // namespace locpriv::metrics

@@ -12,13 +12,11 @@ namespace locpriv::metrics {
 
 class DtwDistortion final : public TraceMetric {
  public:
-  using TraceMetric::evaluate_trace;
   explicit DtwDistortion(stats::DtwOptions options = {});
 
   [[nodiscard]] const std::string& name() const override;
   [[nodiscard]] Direction direction() const override { return Direction::kLowerIsMoreUseful; }
-  [[nodiscard]] double evaluate_trace(const trace::Trace& actual,
-                                      const trace::Trace& protected_trace) const override;
+  [[nodiscard]] double evaluate_trace(const EvalContext& ctx, std::size_t user) const override;
 
  private:
   stats::DtwOptions options_;

@@ -2,8 +2,8 @@
 // behind the redesigned Metric API.
 //
 // Every metric evaluation derives intermediate artifacts from the traces
-// it scores: stay points, POI sets, coverage rasters, nearest-site
-// assignments. The actual-side artifacts depend only on the input
+// it scores: stay points, POI sets, coverage rasters, tracking
+// estimates. The actual-side artifacts depend only on the input
 // dataset and the derivation parameters — they are invariant across all
 // sweep points, trials, metrics and worker threads — and the
 // protected-side artifacts are shared between the two metrics evaluated
@@ -21,7 +21,7 @@
 // An EvalContext bundles the (actual, protected) dataset pair with the
 // two caches. Metrics ask it for artifacts by kind + builder; with no
 // cache attached the builder just runs — so the same metric code serves
-// cached sweeps and one-shot legacy calls, bit-identically (builders are
+// cached sweeps and one-shot uncached calls, bit-identically (builders are
 // deterministic, and a cache hit returns the exact object a miss built).
 #pragma once
 
@@ -133,7 +133,7 @@ struct SplitView {
 class EvalContext {
  public:
   /// Context without caching (both caches null): artifact() builds on
-  /// every call. This is what the legacy-compatibility shim uses.
+  /// every call — the form for one-shot evaluations.
   EvalContext(const trace::Dataset& actual, const trace::Dataset& protected_data,
               std::shared_ptr<ArtifactCache> actual_cache = nullptr,
               std::shared_ptr<ArtifactCache> protected_cache = nullptr)

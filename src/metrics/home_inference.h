@@ -24,7 +24,6 @@ class HomeInferenceRate final : public TraceMetric {
   /// 1.0 when the home inferred from the protected trace lands within
   /// tolerance of the home inferred from the actual trace, else 0.0
   /// (users with no inferable home score 0: nothing to leak).
-  using TraceMetric::evaluate_trace;
   [[nodiscard]] double evaluate_trace(const EvalContext& ctx, std::size_t user) const override;
 
  private:

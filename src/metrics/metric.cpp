@@ -17,24 +17,6 @@ void require_paired(const trace::Dataset& actual, const trace::Dataset& protecte
   }
 }
 
-double Metric::evaluate(const trace::Dataset& actual,
-                        const trace::Dataset& protected_data) const {
-  return evaluate(EvalContext(actual, protected_data));
-}
-
-double TraceMetric::evaluate_trace(const EvalContext& ctx, std::size_t user) const {
-  return evaluate_trace(ctx.actual()[user], ctx.protected_data()[user]);
-}
-
-double TraceMetric::evaluate_trace(const trace::Trace& actual,
-                                   const trace::Trace& protected_trace) const {
-  trace::Dataset a;
-  a.add(actual);
-  trace::Dataset p;
-  p.add(protected_trace);
-  return evaluate_trace(EvalContext(a, p), 0);
-}
-
 double TraceMetric::evaluate(const EvalContext& ctx) const {
   require_paired(ctx.actual(), ctx.protected_data());
   if (ctx.actual().empty()) throw std::invalid_argument("metric: empty dataset");

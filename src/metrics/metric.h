@@ -9,9 +9,9 @@
 // Metrics evaluate through an EvalContext (see eval_context.h), which
 // carries the dataset pair plus artifact caches so derived artifacts
 // (POI sets, stay points, coverage rasters, ...) are computed once per
-// sweep instead of once per call. The legacy two-dataset overload is
-// kept as a non-virtual compatibility shim over an uncached context —
-// both paths run the same code and return bit-identical values.
+// sweep instead of once per call. A one-shot caller evaluates through
+// an uncached context, `metric.evaluate(EvalContext(actual, protected))`,
+// which runs the same code and returns bit-identical values.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +20,6 @@
 
 #include "metrics/eval_context.h"
 #include "trace/dataset.h"
-#include "trace/trace.h"
 
 namespace locpriv::metrics {
 
@@ -65,37 +64,16 @@ class Metric {
   /// out-of-range index.
   [[nodiscard]] virtual double evaluate_on(const EvalContext& ctx,
                                            std::span<const std::size_t> users) const;
-
-  /// Legacy compatibility shim: evaluates through an ephemeral uncached
-  /// context. Both datasets must pair users positionally (same ids,
-  /// same order) — implementations throw std::invalid_argument
-  /// otherwise. Prefer the EvalContext overload in new code.
-  [[nodiscard]] double evaluate(const trace::Dataset& actual,
-                                const trace::Dataset& protected_data) const;
 };
 
 /// Base for metrics that score each user independently; the dataset
 /// score is the mean over users (the paper evaluates "for each user" and
 /// reports the aggregate).
-///
-/// Subclasses implement at least one evaluate_trace overload: the
-/// EvalContext form when the metric benefits from cached artifacts, the
-/// plain two-trace form otherwise. Each overload's default forwards to
-/// the other (through a single-user uncached context for the plain
-/// form), so implementing either yields both; implementing neither is a
-/// contract violation that recurses.
 class TraceMetric : public Metric {
  public:
-  using Metric::evaluate;  // keep the legacy dataset shim visible
-
-  /// Per-user score with artifact access: scores user `user` of the
-  /// context's dataset pair. Default forwards to the two-trace overload.
-  [[nodiscard]] virtual double evaluate_trace(const EvalContext& ctx, std::size_t user) const;
-
-  /// Per-user score on a bare trace pair. Default wraps the traces into
-  /// an ephemeral uncached context and forwards to the context overload.
-  [[nodiscard]] virtual double evaluate_trace(const trace::Trace& actual,
-                                              const trace::Trace& protected_trace) const;
+  /// Per-user score: scores user `user` of the context's dataset pair,
+  /// sourcing derived artifacts from the context's caches.
+  [[nodiscard]] virtual double evaluate_trace(const EvalContext& ctx, std::size_t user) const = 0;
 
   /// Mean of per-user scores; verifies the datasets pair up.
   [[nodiscard]] double evaluate(const EvalContext& ctx) const override;

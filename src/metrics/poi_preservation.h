@@ -19,8 +19,6 @@ class PoiPreservation final : public TraceMetric {
  public:
   explicit PoiPreservation(attack::PoiAttackConfig cfg = {});
 
-  using TraceMetric::evaluate_trace;
-
   [[nodiscard]] const std::string& name() const override;
   [[nodiscard]] Direction direction() const override { return Direction::kHigherIsMoreUseful; }
   /// Shares its "poi-set" artifacts with PoiRetrieval when the configs

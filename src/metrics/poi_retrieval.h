@@ -12,8 +12,6 @@ class PoiRetrieval final : public TraceMetric {
  public:
   explicit PoiRetrieval(attack::PoiAttackConfig cfg = {});
 
-  using TraceMetric::evaluate_trace;
-
   [[nodiscard]] const std::string& name() const override;
   [[nodiscard]] Direction direction() const override {
     return Direction::kLowerIsMorePrivate;

@@ -17,7 +17,6 @@ class ReidentificationRate final : public Metric {
   [[nodiscard]] Direction direction() const override {
     return Direction::kLowerIsMorePrivate;
   }
-  using Metric::evaluate;
   [[nodiscard]] double evaluate(const EvalContext& ctx) const override;
   /// Linkage restricted to the listed users: both the adversary's
   /// gallery and the scored traces are the subset — the unseen-user

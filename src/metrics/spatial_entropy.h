@@ -17,7 +17,6 @@ class SpatialEntropyGain final : public TraceMetric {
   [[nodiscard]] Direction direction() const override {
     return Direction::kHigherIsMorePrivate;
   }
-  using TraceMetric::evaluate_trace;
   [[nodiscard]] double evaluate_trace(const EvalContext& ctx, std::size_t user) const override;
 
  private:

@@ -46,8 +46,6 @@ class TrackingError final : public TraceMetric {
  public:
   explicit TrackingError(attack::TrackingConfig cfg = {});
 
-  using TraceMetric::evaluate_trace;
-
   [[nodiscard]] const std::string& name() const override;
   [[nodiscard]] Direction direction() const override {
     return Direction::kHigherIsMorePrivate;
@@ -71,7 +69,6 @@ class TrackingReident final : public Metric {
   [[nodiscard]] Direction direction() const override {
     return Direction::kLowerIsMorePrivate;
   }
-  using Metric::evaluate;
   [[nodiscard]] double evaluate(const EvalContext& ctx) const override;
   [[nodiscard]] double evaluate_on(const EvalContext& ctx,
                                    std::span<const std::size_t> users) const override;

@@ -25,7 +25,6 @@ class LogTransformedMetric final : public Metric {
 
   [[nodiscard]] const std::string& name() const override { return name_; }
   [[nodiscard]] Direction direction() const override { return inner_->direction(); }
-  using Metric::evaluate;
   [[nodiscard]] double evaluate(const EvalContext& ctx) const override;
 
  private:

@@ -17,7 +17,6 @@ class TripLengthError final : public TraceMetric {
   [[nodiscard]] Direction direction() const override { return Direction::kLowerIsMoreUseful; }
   /// |len(protected) - len(actual)| / len(actual); 0 when the actual
   /// trace has zero length (nothing to preserve).
-  using TraceMetric::evaluate_trace;
   [[nodiscard]] double evaluate_trace(const EvalContext& ctx, std::size_t user) const override;
 };
 

@@ -32,7 +32,6 @@ class WorstCasePoiRetrieval final : public TraceMetric {
   [[nodiscard]] Direction direction() const override {
     return Direction::kLowerIsMorePrivate;
   }
-  using TraceMetric::evaluate_trace;
   [[nodiscard]] double evaluate_trace(const EvalContext& ctx, std::size_t user) const override;
 
  private:

@@ -133,10 +133,6 @@ double PrivacyController::invert_axis(bool privacy_axis, double measured, double
 
 ControlDecision PrivacyController::decide(trace::Timestamp now) {
   obs::Span span("adaptive", "controller.decide");
-  static obs::Counter decisions_counter("adaptive.decisions");
-  static obs::Counter steps_counter("adaptive.steps");
-  static obs::Counter saturations_counter("adaptive.saturations");
-  decisions_counter.add();
 
   ControlDecision d;
   d.index = decisions_++;
@@ -242,11 +238,6 @@ ControlDecision PrivacyController::decide(trace::Timestamp now) {
   }
   d.action = action;
   span.arg("eps_after", d.eps_after).arg("action", to_string(action));
-  if (action == ControlAction::kStep) {
-    steps_counter.add();
-  } else {
-    saturations_counter.add();
-  }
   return d;
 }
 

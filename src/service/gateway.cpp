@@ -120,9 +120,6 @@ Gateway::~Gateway() { drain(); }
 
 bool Gateway::submit(const std::string& user_id, const trace::Event& event, std::uint64_t cookie) {
   obs::Span submit_span("service", "gateway.submit");
-  static obs::Counter submitted_counter("service.submitted");
-  static obs::Counter rejected_counter("service.rejected_queue_full");
-  submitted_counter.add();
   telemetry_->record_received();
   Request r;
   r.user_id = user_id;
@@ -141,7 +138,6 @@ bool Gateway::submit(const std::string& user_id, const trace::Event& event, std:
 
   // Backpressure: degrade gracefully by answering with a suppression
   // right here instead of queueing without bound.
-  rejected_counter.add();
   telemetry_->record_rejected_queue_full();
   ProtectedReport out;
   out.user_id = user_id;

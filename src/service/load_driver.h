@@ -19,23 +19,22 @@ namespace locpriv::service {
 struct LoadDriverConfig {
   /// Stream-seconds replayed per wall-second; 0 = flat out.
   double rate_multiplier = 0.0;
-  /// Drain the gateway before reporting (wall_seconds then covers
-  /// submit + full processing; required for meaningful events/sec).
-  bool drain_after = true;
 };
 
 struct LoadResult {
   std::size_t submitted = 0;  ///< reports handed to submit()
   std::size_t accepted = 0;   ///< reports the queue took
+  /// Submit plus full processing: the gateway is drained before the
+  /// clock stops.
   double wall_seconds = 0.0;
   /// Submitted reports per wall second (each one was answered —
-  /// delivered, suppressed or rejected — by the time this is computed
-  /// when drain_after is set).
+  /// delivered, suppressed or rejected — by the time this is computed).
   double events_per_sec = 0.0;
 };
 
-/// Replays `data` through `gateway`. The merged stream is deterministic
-/// in the dataset alone; with one worker the gateway output is too.
+/// Replays `data` through `gateway`, then drains it. The merged stream
+/// is deterministic in the dataset alone; with one worker the gateway
+/// output is too.
 LoadResult replay_dataset(const trace::Dataset& data, Gateway& gateway,
                           const LoadDriverConfig& cfg = {});
 

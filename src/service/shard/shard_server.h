@@ -55,11 +55,6 @@ struct ShardServerConfig {
   std::string dataset_path;
   /// Attach an arena-backed StreamAuditor to the sink.
   bool audit = false;
-  /// Outbox backlog (bytes) above which a connection stops being read.
-  std::size_t outbox_high_water = 1u << 20;
-  /// Backlog below which a paused connection resumes.
-  std::size_t outbox_low_water = 1u << 18;
-  net::EventLoop::Backend backend = net::EventLoop::Backend::kDefault;
 };
 
 class ShardServer {

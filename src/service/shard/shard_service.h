@@ -47,7 +47,6 @@ struct ShardServiceConfig {
   /// "<spec>"} — absent keys keep the current value, empty strings
   /// clear. Empty path = SIGHUP pushes an empty (no-op) reload.
   std::string reload_file;
-  net::EventLoop::Backend backend = net::EventLoop::Backend::kDefault;
 };
 
 class ShardService {

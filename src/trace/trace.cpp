@@ -80,15 +80,6 @@ Timestamp Trace::duration() const {
   return st.size() < 2 ? 0 : st.back() - st.front();
 }
 
-std::vector<geo::Point> Trace::points() const {
-  const std::span<const double> sx = xs();
-  const std::span<const double> sy = ys();
-  std::vector<geo::Point> pts;
-  pts.reserve(sx.size());
-  for (std::size_t i = 0; i < sx.size(); ++i) pts.push_back({sx[i], sy[i]});
-  return pts;
-}
-
 geo::BoundingBox Trace::bounds() const {
   const std::span<const double> sx = xs();
   const std::span<const double> sy = ys();

@@ -136,12 +136,6 @@ class Trace {
   /// Total time span covered, seconds (0 for < 2 events).
   [[nodiscard]] Timestamp duration() const;
 
-  /// Copies of just the locations, in order.
-  [[deprecated(
-      "materialize Points from the xs()/ys() column spans only where an "
-      "algorithm genuinely needs a Point vector")]] [[nodiscard]] std::vector<geo::Point>
-  points() const;
-
   /// Tightest bounding box over the locations.
   [[nodiscard]] geo::BoundingBox bounds() const;
 

@@ -10,8 +10,7 @@
 // columns straight from a read-only mmap (or one heap read, see
 // LoadOptions); CSV parses into heap columns. save_dataset writes the
 // checksummed binary format unless the path ends in ".csv" (or
-// SaveOptions says otherwise). The old per-format file functions remain
-// as thin shims that warn once per process.
+// SaveOptions says otherwise).
 //
 // Canonical CSV schema, one event per row:
 //   user,timestamp,x,y          (planar meters; header required)
@@ -55,16 +54,10 @@ void save_dataset(const std::string& path, const Dataset& d, const SaveOptions& 
 
 /// Writes the planar CSV schema (header + one row per event).
 void write_dataset_csv(std::ostream& out, const Dataset& d);
-/// Deprecated shim for save_dataset(path, d, {.format = kCsv}); warns
-/// once per process.
-void write_dataset_csv_file(const std::string& path, const Dataset& d);
 
 /// Reads the planar CSV schema. Throws std::runtime_error on schema or
 /// parse errors (with the offending line number).
 [[nodiscard]] Dataset read_dataset_csv(std::istream& in);
-/// Deprecated shim for load_dataset(path, {.format = kCsv}); warns once
-/// per process.
-[[nodiscard]] Dataset read_dataset_csv_file(const std::string& path);
 
 /// Writes the geographic schema, un-projecting through `proj`.
 void write_dataset_geo_csv(std::ostream& out, const Dataset& d, const geo::LocalProjection& proj);

@@ -1,4 +1,4 @@
-#include "stats/ks_test.h"
+#include "oracles/ks_test.h"
 
 #include <algorithm>
 #include <cmath>

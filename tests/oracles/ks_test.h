@@ -1,9 +1,9 @@
 // One-sample Kolmogorov–Smirnov goodness-of-fit test.
 //
-// The library's correctness rests on sampled distributions matching
-// their analytic forms (planar-Laplace radii above all); the KS statistic
-// turns "looks close" into a quantified check usable in tests and
-// self-diagnostics.
+// A test oracle. The library's correctness rests on sampled
+// distributions matching their analytic forms (planar-Laplace radii
+// above all); the KS statistic turns "looks close" into a quantified
+// check.
 #pragma once
 
 #include <functional>

@@ -1,4 +1,4 @@
-#include "core/lp.h"
+#include "oracles/lp.h"
 
 #include <cmath>
 #include <cstddef>

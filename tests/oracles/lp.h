@@ -1,15 +1,14 @@
 // A small dense linear-programming core: two-phase primal simplex with
 // Bland's rule.
 //
-// This is the reference solver behind the optimal geo-indistinguishable
+// A test oracle: the exact reference for the optimal geo-indistinguishable
 // mechanism (Bordenabe et al., "Optimal Geo-Indistinguishable
 // Mechanisms for Location Privacy"): minimize expected loss subject to
 // the pairwise geo-ind ratio constraints and row-stochasticity. The
 // dense tableau limits it to small instances (a few thousand
-// constraints), which is exactly its role here — certifying the
-// production scaling solver (lppm/optimal_matrix.h) against the true
-// LP optimum on small grids, and serving as a general-purpose exact
-// solver for other subsystems.
+// constraints), which is exactly its role — certifying the production
+// scaling solver (lppm/optimal_matrix.h) against the true LP optimum
+// on small grids.
 //
 // Determinism: Bland's anti-cycling rule (lowest-index entering column,
 // lowest-basis-index tie-break on the ratio test) makes the pivot

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/lp.h"
+#include "oracles/lp.h"
 
 namespace locpriv::core::lp {
 namespace {

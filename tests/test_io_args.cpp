@@ -106,52 +106,15 @@ class CerrCapture {
   CerrCapture() : old_(std::cerr.rdbuf(buffer_.rdbuf())) {}
   ~CerrCapture() { std::cerr.rdbuf(old_); }
   [[nodiscard]] std::string text() const { return buffer_.str(); }
-  [[nodiscard]] std::size_t count(const std::string& needle) const {
-    const std::string haystack = text();
-    std::size_t n = 0;
-    for (std::size_t pos = haystack.find(needle); pos != std::string::npos;
-         pos = haystack.find(needle, pos + 1)) {
-      ++n;
-    }
-    return n;
-  }
 
  private:
   std::ostringstream buffer_;
   std::streambuf* old_;
 };
 
-// The warn-once registry is process-wide, so each test uses its own
-// alias names — a warning spent in one test stays spent.
-
-TEST(Args, DeprecatedAliasWarnsExactlyOncePerProcess) {
-  ArgParser p("demo", "demo");
-  p.add({.name = "threads", .help = "", .default_value = "1", .deprecated_aliases = {"workers"}});
-  const CerrCapture capture;
-  // Three uses across two parse() calls: still one warning.
-  const ParsedArgs a = p.parse({"--workers", "4"});
-  const ParsedArgs b = p.parse({"--workers=8", "--workers", "2"});
-  EXPECT_EQ(a.get_int("threads"), 4);
-  EXPECT_EQ(b.get_int("threads"), 2);
-  EXPECT_EQ(capture.count("--workers"), 1u);
-  EXPECT_NE(capture.text().find("deprecated"), std::string::npos);
-  EXPECT_NE(capture.text().find("--threads"), std::string::npos);
-}
-
-TEST(Args, DistinctAliasesWarnIndependently) {
-  ArgParser p("demo", "demo");
-  p.add({.name = "alpha", .help = "", .default_value = "0", .deprecated_aliases = {"old-alpha"}})
-      .add({.name = "beta", .help = "", .default_value = "0", .deprecated_aliases = {"old-beta"}});
-  const CerrCapture capture;
-  (void)p.parse({"--old-alpha", "1", "--old-beta", "2"});
-  (void)p.parse({"--old-alpha", "3", "--old-beta", "4"});
-  EXPECT_EQ(capture.count("--old-alpha"), 1u);
-  EXPECT_EQ(capture.count("--old-beta"), 1u);
-}
-
 TEST(Args, CanonicalSpellingNeverWarns) {
   ArgParser p("demo", "demo");
-  p.add({.name = "gamma", .help = "", .default_value = "0", .deprecated_aliases = {"old-gamma"}});
+  p.add({.name = "gamma", .help = "", .default_value = "0"});
   const CerrCapture capture;
   (void)p.parse({"--gamma", "1"});
   EXPECT_TRUE(capture.text().empty()) << capture.text();

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "lppm/geo_ind.h"
-#include "stats/ks_test.h"
+#include "oracles/ks_test.h"
 #include "stats/online.h"
 #include "stats/rng.h"
 #include "test_util.h"

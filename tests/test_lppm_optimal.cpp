@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/lp.h"
 #include "core/system_definition.h"
 #include "geo/bbox.h"
 #include "geo/grid.h"
@@ -19,6 +18,7 @@
 #include "lppm/registry.h"
 #include "metrics/area_coverage.h"
 #include "metrics/poi_retrieval.h"
+#include "oracles/lp.h"
 #include "test_util.h"
 
 namespace locpriv::lppm {

@@ -14,7 +14,6 @@
 #include "metrics/home_inference.h"
 #include "metrics/poi_preservation.h"
 #include "metrics/poi_retrieval.h"
-#include "metrics/query_consistency.h"
 #include "metrics/registry.h"
 #include "metrics/reident_metric.h"
 #include "metrics/spatial_entropy.h"
@@ -51,7 +50,7 @@ TEST(MetricFramework, DirectionPredicates) {
 TEST(PoiRetrieval, FullRetrievalWithoutProtection) {
   const PoiRetrieval metric;
   const trace::Dataset d = testutil::two_stop_dataset(3);
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 1.0);
+  EXPECT_DOUBLE_EQ(metric.evaluate(EvalContext(d, identity_protected(d))), 1.0);
   EXPECT_EQ(metric.direction(), Direction::kLowerIsMorePrivate);
 }
 
@@ -59,7 +58,7 @@ TEST(PoiRetrieval, DropsUnderHeavyNoise) {
   const PoiRetrieval metric;
   const trace::Dataset d = testutil::two_stop_dataset(3);
   const lppm::GeoIndistinguishability strong(1e-4);
-  EXPECT_LT(metric.evaluate(d, strong.protect_dataset(d, 1)), 0.4);
+  EXPECT_LT(metric.evaluate(EvalContext(d, strong.protect_dataset(d, 1))), 0.4);
 }
 
 TEST(PoiRetrieval, MonotoneInEpsilon) {
@@ -68,7 +67,7 @@ TEST(PoiRetrieval, MonotoneInEpsilon) {
   double prev = -1.0;
   for (const double eps : {1e-4, 1e-2, 1.0}) {
     const lppm::GeoIndistinguishability mech(eps);
-    const double v = metric.evaluate(d, mech.protect_dataset(d, 1));
+    const double v = metric.evaluate(EvalContext(d, mech.protect_dataset(d, 1)));
     EXPECT_GE(v, prev) << "eps = " << eps;
     prev = v;
   }
@@ -77,7 +76,7 @@ TEST(PoiRetrieval, MonotoneInEpsilon) {
 TEST(AreaCoverage, PerfectWithoutProtection) {
   const AreaCoverage metric;
   const trace::Dataset d = testutil::two_stop_dataset(3);
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 1.0);
+  EXPECT_DOUBLE_EQ(metric.evaluate(EvalContext(d, identity_protected(d))), 1.0);
   EXPECT_EQ(metric.direction(), Direction::kHigherIsMoreUseful);
 }
 
@@ -85,7 +84,7 @@ TEST(AreaCoverage, DegradesWithNoise) {
   const AreaCoverage metric;
   const trace::Dataset d = testutil::two_stop_dataset(3);
   const lppm::GaussianPerturbation noisy(2000.0);
-  EXPECT_LT(metric.evaluate(d, noisy.protect_dataset(d, 1)), 0.5);
+  EXPECT_LT(metric.evaluate(EvalContext(d, noisy.protect_dataset(d, 1))), 0.5);
 }
 
 TEST(AreaCoverage, JaccardFlavorNoGreaterThanF1) {
@@ -94,7 +93,7 @@ TEST(AreaCoverage, JaccardFlavorNoGreaterThanF1) {
   const trace::Dataset p = noisy.protect_dataset(d, 1);
   const AreaCoverage f1(115.0, AreaCoverage::Flavor::kF1);
   const AreaCoverage jac(115.0, AreaCoverage::Flavor::kJaccard);
-  EXPECT_LE(jac.evaluate(d, p), f1.evaluate(d, p) + 1e-12);
+  EXPECT_LE(jac.evaluate(EvalContext(d, p)), f1.evaluate(EvalContext(d, p)) + 1e-12);
   EXPECT_NE(f1.name(), jac.name());
 }
 
@@ -105,9 +104,9 @@ TEST(AreaCoverage, RejectsBadCellSize) {
 TEST(CellHit, PerfectWithoutProtectionAndDegrades) {
   const CellHitRatio metric;
   const trace::Dataset d = testutil::two_stop_dataset(2);
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 1.0);
+  EXPECT_DOUBLE_EQ(metric.evaluate(EvalContext(d, identity_protected(d))), 1.0);
   const lppm::GaussianPerturbation noisy(5000.0);
-  EXPECT_LT(metric.evaluate(d, noisy.protect_dataset(d, 1)), 0.2);
+  EXPECT_LT(metric.evaluate(EvalContext(d, noisy.protect_dataset(d, 1))), 0.2);
 }
 
 TEST(CellHit, HandlesCardinalityChangingMechanisms) {
@@ -116,7 +115,7 @@ TEST(CellHit, HandlesCardinalityChangingMechanisms) {
   const CellHitRatio metric;
   const trace::Dataset d = testutil::two_stop_dataset(2);
   const lppm::Promesse promesse(100.0);
-  const double v = metric.evaluate(d, promesse.protect_dataset(d, 1));
+  const double v = metric.evaluate(EvalContext(d, promesse.protect_dataset(d, 1)));
   EXPECT_GE(v, 0.0);
   EXPECT_LE(v, 1.0);
 }
@@ -124,7 +123,7 @@ TEST(CellHit, HandlesCardinalityChangingMechanisms) {
 TEST(MeanDistortion, ZeroWithoutProtection) {
   const MeanDistortion metric;
   const trace::Dataset d = testutil::two_stop_dataset(2);
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 0.0);
+  EXPECT_DOUBLE_EQ(metric.evaluate(EvalContext(d, identity_protected(d))), 0.0);
   EXPECT_EQ(metric.direction(), Direction::kLowerIsMoreUseful);
 }
 
@@ -133,25 +132,25 @@ TEST(MeanDistortion, TracksGeoIndNoiseScale) {
   const trace::Dataset d = testutil::two_stop_dataset(4);
   const double eps = 0.01;
   const lppm::GeoIndistinguishability mech(eps);
-  const double v = metric.evaluate(d, mech.protect_dataset(d, 1));
+  const double v = metric.evaluate(EvalContext(d, mech.protect_dataset(d, 1)));
   EXPECT_NEAR(v, 2.0 / eps, 0.25 * (2.0 / eps));
 }
 
 TEST(SpatialEntropy, ZeroGainWithoutProtectionAndPositiveWithNoise) {
   const SpatialEntropyGain metric;
   const trace::Dataset d = testutil::two_stop_dataset(3);
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 0.0);
+  EXPECT_DOUBLE_EQ(metric.evaluate(EvalContext(d, identity_protected(d))), 0.0);
   const lppm::GaussianPerturbation noisy(1000.0);
-  EXPECT_GT(metric.evaluate(d, noisy.protect_dataset(d, 1)), 0.5);
+  EXPECT_GT(metric.evaluate(EvalContext(d, noisy.protect_dataset(d, 1))), 0.5);
   EXPECT_EQ(metric.direction(), Direction::kHigherIsMorePrivate);
 }
 
 TEST(ReidentMetric, OneOnCleanDataAndDropsWithNoise) {
   const ReidentificationRate metric;
   const trace::Dataset d = testutil::two_stop_dataset(5);
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 1.0);
+  EXPECT_DOUBLE_EQ(metric.evaluate(EvalContext(d, identity_protected(d))), 1.0);
   const lppm::GeoIndistinguishability strong(2e-4);
-  EXPECT_LT(metric.evaluate(d, strong.protect_dataset(d, 1)), 1.0);
+  EXPECT_LT(metric.evaluate(EvalContext(d, strong.protect_dataset(d, 1))), 1.0);
 }
 
 TEST(LogTransform, AppliesLog1pAndKeepsDirection) {
@@ -160,11 +159,12 @@ TEST(LogTransform, AppliesLog1pAndKeepsDirection) {
   EXPECT_EQ(metric.direction(), Direction::kLowerIsMoreUseful);
   const trace::Dataset d = testutil::two_stop_dataset(2);
   // Identity protection: distortion 0 -> log1p(0) = 0.
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 0.0);
+  EXPECT_DOUBLE_EQ(metric.evaluate(EvalContext(d, identity_protected(d))), 0.0);
   const lppm::GaussianPerturbation noisy(500.0);
   const trace::Dataset p = noisy.protect_dataset(d, 1);
   const MeanDistortion raw;
-  EXPECT_NEAR(metric.evaluate(d, p), std::log1p(raw.evaluate(d, p)), 1e-12);
+  const EvalContext ctx(d, p);
+  EXPECT_NEAR(metric.evaluate(ctx), std::log1p(raw.evaluate(ctx)), 1e-12);
 }
 
 TEST(LogTransform, RejectsNullInner) {
@@ -174,17 +174,18 @@ TEST(LogTransform, RejectsNullInner) {
 TEST(TripLength, ZeroErrorWithoutProtectionAndGrowsWithNoise) {
   const TripLengthError metric;
   const trace::Dataset d = testutil::two_stop_dataset(2);
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 0.0);
+  EXPECT_DOUBLE_EQ(metric.evaluate(EvalContext(d, identity_protected(d))), 0.0);
   // Noise inflates path length: each of ~60 reports wiggles ~125 m.
   const lppm::GaussianPerturbation noisy(100.0);
-  EXPECT_GT(metric.evaluate(d, noisy.protect_dataset(d, 1)), 0.5);
+  EXPECT_GT(metric.evaluate(EvalContext(d, noisy.protect_dataset(d, 1))), 0.5);
   EXPECT_EQ(metric.direction(), Direction::kLowerIsMoreUseful);
 }
 
 TEST(TripLength, ZeroForStationaryActual) {
   const TripLengthError metric;
-  const trace::Trace still = testutil::stationary_trace("u", {0, 0}, 600);
-  EXPECT_DOUBLE_EQ(metric.evaluate_trace(still, still), 0.0);
+  trace::Dataset still;
+  still.add(testutil::stationary_trace("u", {0, 0}, 600));
+  EXPECT_DOUBLE_EQ(metric.evaluate_trace(EvalContext(still, still), 0), 0.0);
 }
 
 TEST(HomeInference, DetectsHomeLossUnderNoise) {
@@ -197,30 +198,11 @@ TEST(HomeInference, DetectsHomeLossUnderNoise) {
   }
   trace::Dataset d;
   d.add(std::move(t));
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 1.0);
+  EXPECT_DOUBLE_EQ(metric.evaluate(EvalContext(d, identity_protected(d))), 1.0);
   const lppm::GeoIndistinguishability strong(2e-4);  // ~10 km noise
-  EXPECT_LT(metric.evaluate(d, strong.protect_dataset(d, 3)), 1.0);
+  EXPECT_LT(metric.evaluate(EvalContext(d, strong.protect_dataset(d, 3))), 1.0);
   EXPECT_EQ(metric.direction(), Direction::kLowerIsMorePrivate);
   EXPECT_THROW(HomeInferenceRate({}, 0.0), std::invalid_argument);
-}
-
-TEST(QueryConsistency, PerfectWithoutProtection) {
-  const NearestPoiConsistency metric({{0, 0}, {5000, 0}, {0, 5000}});
-  const trace::Dataset d = testutil::two_stop_dataset(2);
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 1.0);
-  EXPECT_THROW(NearestPoiConsistency({}), std::invalid_argument);
-}
-
-TEST(QueryConsistency, DegradesNearSiteBoundaries) {
-  // Sites 200 m apart; user halfway between them: moderate noise flips
-  // the nearest answer often.
-  const NearestPoiConsistency metric({{0, 0}, {200, 0}});
-  trace::Dataset d;
-  d.add(testutil::stationary_trace("u", {60, 0}, 6000, 10));  // nearer site 0
-  const lppm::GaussianPerturbation noisy(150.0);
-  const double v = metric.evaluate(d, noisy.protect_dataset(d, 1));
-  EXPECT_LT(v, 0.9);
-  EXPECT_GT(v, 0.1);
 }
 
 TEST(PoiPreservation, MirrorsRetrievalOnTheUtilityAxis) {
@@ -231,7 +213,8 @@ TEST(PoiPreservation, MirrorsRetrievalOnTheUtilityAxis) {
   const lppm::GeoIndistinguishability mech(0.02);
   const trace::Dataset p = mech.protect_dataset(d, 3);
   // Same number, opposite declared axis: one app's leak is another's product.
-  EXPECT_DOUBLE_EQ(utility_view.evaluate(d, p), privacy_view.evaluate(d, p));
+  const EvalContext ctx(d, p);
+  EXPECT_DOUBLE_EQ(utility_view.evaluate(ctx), privacy_view.evaluate(ctx));
 }
 
 TEST(WorstCase, DominatesTheNaiveAdversary) {
@@ -241,9 +224,9 @@ TEST(WorstCase, DominatesTheNaiveAdversary) {
   // Moderate noise where the adversaries genuinely differ.
   const lppm::GeoIndistinguishability mech(0.008);
   const trace::Dataset p = mech.protect_dataset(d, 5);
-  EXPECT_GE(worst.evaluate(d, p), naive.evaluate(d, p));
+  EXPECT_GE(worst.evaluate(EvalContext(d, p)), naive.evaluate(EvalContext(d, p)));
   // On unprotected data everyone retrieves everything.
-  EXPECT_DOUBLE_EQ(worst.evaluate(d, identity_protected(d)), 1.0);
+  EXPECT_DOUBLE_EQ(worst.evaluate(EvalContext(d, identity_protected(d))), 1.0);
 }
 
 TEST(Registry, ListsAllMetrics) {
@@ -270,7 +253,7 @@ TEST_P(MetricContract, NameMatchesRegistryKey) {
 TEST_P(MetricContract, EvaluatesOnPairedDatasets) {
   const auto metric = create_metric(GetParam());
   const trace::Dataset d = testutil::two_stop_dataset(3);
-  const double v = metric->evaluate(d, identity_protected(d));
+  const double v = metric->evaluate(EvalContext(d, identity_protected(d)));
   EXPECT_TRUE(std::isfinite(v));
 }
 
@@ -278,7 +261,7 @@ TEST_P(MetricContract, RejectsMismatchedDatasets) {
   const auto metric = create_metric(GetParam());
   const trace::Dataset a = testutil::two_stop_dataset(3);
   const trace::Dataset b = testutil::two_stop_dataset(2);
-  EXPECT_THROW((void)metric->evaluate(a, b), std::invalid_argument);
+  EXPECT_THROW((void)metric->evaluate(EvalContext(a, b)), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMetrics, MetricContract, ::testing::ValuesIn(metric_names()));

@@ -1,8 +1,8 @@
 // The EvalContext redesign's contract tests.
 //
 // 1. Parity: every registered metric must return BIT-IDENTICAL values
-//    through a cached EvalContext, an uncached context, and the legacy
-//    two-dataset shim — the cache is pure memoization, never semantics.
+//    through a cached EvalContext (cold and warm) and an uncached one —
+//    the cache is pure memoization, never semantics.
 // 2. Accounting: warm passes add hits without adding misses, and the
 //    POI-family metrics share their expensive derived artifacts.
 // 3. Concurrency: 8 threads hammering one shared cache still reproduce
@@ -51,7 +51,7 @@ DatasetPair make_pair() {
 
 // ----------------------------------------------------------------- parity
 
-TEST(EvalContextParity, EveryRegisteredMetricIsBitIdenticalToLegacyShim) {
+TEST(EvalContextParity, EveryRegisteredMetricIsBitIdenticalCachedAndUncached) {
   const DatasetPair data = make_pair();
   const auto actual_cache = std::make_shared<ArtifactCache>();
   const auto protected_cache = std::make_shared<ArtifactCache>();
@@ -59,13 +59,11 @@ TEST(EvalContextParity, EveryRegisteredMetricIsBitIdenticalToLegacyShim) {
   const EvalContext uncached(data.actual, data.protected_data);
   for (const std::string& name : metric_names()) {
     const auto metric = create_metric(name);
-    const double legacy = metric->evaluate(data.actual, data.protected_data);
     const double bare = metric->evaluate(uncached);
     const double cold = metric->evaluate(cached);
     const double warm = metric->evaluate(cached);  // now served from cache
-    EXPECT_TRUE(bit_equal(legacy, bare)) << name << ": legacy shim vs uncached context";
-    EXPECT_TRUE(bit_equal(legacy, cold)) << name << ": legacy shim vs cold cache";
-    EXPECT_TRUE(bit_equal(legacy, warm)) << name << ": legacy shim vs warm cache";
+    EXPECT_TRUE(bit_equal(bare, cold)) << name << ": uncached context vs cold cache";
+    EXPECT_TRUE(bit_equal(bare, warm)) << name << ": uncached context vs warm cache";
   }
   // The loop above must actually have exercised the cache.
   const ArtifactCache::Stats stats = actual_cache->stats();
@@ -142,10 +140,9 @@ TEST(EvalContextConcurrency, EightThreadsSharingOneCacheReproduceSerialBits) {
   const std::vector<std::string> names = metric_names();
 
   // Serial, uncached reference values.
+  const EvalContext uncached(data.actual, data.protected_data);
   std::map<std::string, double> reference;
-  for (const std::string& name : names) {
-    reference[name] = create_metric(name)->evaluate(data.actual, data.protected_data);
-  }
+  for (const std::string& name : names) reference[name] = create_metric(name)->evaluate(uncached);
 
   const auto actual_cache = std::make_shared<ArtifactCache>();
   const auto protected_cache = std::make_shared<ArtifactCache>();
@@ -192,19 +189,15 @@ TEST(MetricRegistry, ExposesParameterSpecs) {
 
 TEST(MetricRegistry, ParamMapOverridesChangeBehavior) {
   const DatasetPair data = make_pair();
-  const double fine =
-      create_metric("area-coverage-f1", {{"cell-size-m", 25.0}})
-          ->evaluate(data.actual, data.protected_data);
+  const EvalContext ctx(data.actual, data.protected_data);
+  const double fine = create_metric("area-coverage-f1", {{"cell-size-m", 25.0}})->evaluate(ctx);
   const double coarse =
-      create_metric("area-coverage-f1", {{"cell-size-m", 2500.0}})
-          ->evaluate(data.actual, data.protected_data);
+      create_metric("area-coverage-f1", {{"cell-size-m", 2500.0}})->evaluate(ctx);
   EXPECT_NE(fine, coarse) << "cell size override had no effect";
 
   // An empty map is exactly the defaults.
-  const double defaulted =
-      create_metric("poi-retrieval")->evaluate(data.actual, data.protected_data);
-  const double empty_map =
-      create_metric("poi-retrieval", lppm::ParamMap{})->evaluate(data.actual, data.protected_data);
+  const double defaulted = create_metric("poi-retrieval")->evaluate(ctx);
+  const double empty_map = create_metric("poi-retrieval", lppm::ParamMap{})->evaluate(ctx);
   EXPECT_TRUE(bit_equal(defaulted, empty_map));
 }
 

@@ -84,7 +84,7 @@ TEST_P(SeededProperty, FractionMetricsStayInUnitInterval) {
   const trace::Dataset p = mech->protect_dataset(d, GetParam());
   for (const char* name : {"poi-retrieval", "area-coverage-f1", "area-coverage-jaccard",
                            "cell-hit-ratio", "reidentification-rate", "home-inference-rate"}) {
-    const double v = metrics::create_metric(name)->evaluate(d, p);
+    const double v = metrics::create_metric(name)->evaluate(metrics::EvalContext(d, p));
     EXPECT_GE(v, 0.0) << name << " under " << mech_name;
     EXPECT_LE(v, 1.0) << name << " under " << mech_name;
   }

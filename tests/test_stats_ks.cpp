@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "stats/ks_test.h"
+#include "oracles/ks_test.h"
 #include "stats/rng.h"
 
 namespace locpriv::stats {

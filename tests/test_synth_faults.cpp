@@ -130,7 +130,8 @@ TEST(FaultRobustness, MetricsStayFiniteOnOutageHeavyData) {
   // Pair dirty-actual with clean-protected shapes: evaluate a metric
   // where protected data has different cardinality than actual.
   const metrics::PoiRetrieval metric;
-  const double v = metric.evaluate(clean, dirty.map([](const trace::Trace& t) { return t; }));
+  const trace::Dataset copied = dirty.map([](const trace::Trace& t) { return t; });
+  const double v = metric.evaluate(metrics::EvalContext(clean, copied));
   EXPECT_TRUE(std::isfinite(v));
   EXPECT_GE(v, 0.0);
   EXPECT_LE(v, 1.0);

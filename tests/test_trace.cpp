@@ -5,7 +5,6 @@
 #include "test_util.h"
 #include "trace/dataset.h"
 #include "trace/features.h"
-#include "trace/resample.h"
 #include "trace/trace.h"
 
 namespace locpriv::trace {
@@ -124,46 +123,6 @@ TEST(Features, EmptyTraceAllZero) {
   const TraceFeatures f = compute_features(Trace("u"));
   EXPECT_EQ(f.event_count, 0u);
   EXPECT_DOUBLE_EQ(f.duration_s, 0.0);
-}
-
-TEST(Resample, DownsampleKeepsFirstOfEachWindow) {
-  Trace t("u");
-  for (Timestamp ts = 0; ts <= 100; ts += 10) t.append({ts, {0, 0}});
-  const Trace down = downsample(t, 30);
-  ASSERT_EQ(down.size(), 4u);  // 0, 30, 60, 90
-  EXPECT_EQ(down[1].time, 30);
-  EXPECT_THROW(downsample(t, 0), std::invalid_argument);
-}
-
-TEST(Resample, SplitByGap) {
-  Trace t("u");
-  t.append({0, {0, 0}});
-  t.append({60, {0, 0}});
-  t.append({5000, {0, 0}});  // gap > 1 hour? no, > 600 s
-  t.append({5060, {0, 0}});
-  const auto pieces = split_by_gap(t, 600);
-  ASSERT_EQ(pieces.size(), 2u);
-  EXPECT_EQ(pieces[0].size(), 2u);
-  EXPECT_EQ(pieces[1].size(), 2u);
-  EXPECT_EQ(pieces[0].user_id(), "u#0");
-  EXPECT_EQ(pieces[1].user_id(), "u#1");
-}
-
-TEST(Resample, SplitByWindow) {
-  Trace t("u");
-  for (Timestamp ts = 0; ts < 300; ts += 50) t.append({ts, {0, 0}});
-  const auto pieces = split_by_window(t, 100);
-  ASSERT_EQ(pieces.size(), 3u);
-  EXPECT_EQ(pieces[0].size(), 2u);  // t=0, 50
-}
-
-TEST(Resample, DatasetDownsample) {
-  Dataset d;
-  Trace t("u");
-  for (Timestamp ts = 0; ts <= 100; ts += 10) t.append({ts, {0, 0}});
-  d.add(std::move(t));
-  const Dataset down = downsample(d, 50);
-  EXPECT_EQ(down[0].size(), 3u);  // 0, 50, 100
 }
 
 }  // namespace

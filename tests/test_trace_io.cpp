@@ -101,14 +101,6 @@ TEST(TraceIo, FileRoundTrip) {
   EXPECT_THROW(load_dataset("/nonexistent/x.csv"), std::runtime_error);
 }
 
-TEST(TraceIo, DeprecatedShimsStillWork) {
-  const std::string path = testing::TempDir() + "/locpriv_traceio_shim.csv";
-  write_dataset_csv_file(path, sample_dataset());
-  const Dataset back = read_dataset_csv_file(path);
-  EXPECT_EQ(back.size(), 2u);
-  EXPECT_THROW(read_dataset_csv_file("/nonexistent/x.csv"), std::runtime_error);
-}
-
 TEST(TraceIo, SaveFormatFollowsExtensionAndOverride) {
   const Dataset d = sample_dataset();
   const std::string csv_path = testing::TempDir() + "/locpriv_traceio_auto.csv";
@@ -123,6 +115,16 @@ TEST(TraceIo, SaveFormatFollowsExtensionAndOverride) {
   EXPECT_TRUE(is_binary_dataset_file(forced));
   const Dataset back = load_dataset(forced);
   EXPECT_EQ(back.size(), 2u);
+}
+
+TEST(TraceIo, ForcedCsvRoundTripIgnoresBinaryExtension) {
+  const std::string path = testing::TempDir() + "/locpriv_traceio_forced.lpds";
+  save_dataset(path, sample_dataset(), {.format = SaveOptions::Format::kCsv});
+  EXPECT_FALSE(is_binary_dataset_file(path));
+  const Dataset back = load_dataset(path, {.format = LoadOptions::Format::kCsv});
+  EXPECT_EQ(back.size(), 2u);
+  EXPECT_THROW(load_dataset("/nonexistent/x.lpds", {.format = LoadOptions::Format::kCsv}),
+               std::runtime_error);
 }
 
 TEST(TraceIo, LoadedDatasetsAreArenaBacked) {

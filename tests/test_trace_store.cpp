@@ -20,7 +20,13 @@
 namespace locpriv::trace {
 namespace {
 
-std::string temp_path(const std::string& name) { return testing::TempDir() + "/" + name; }
+/// Scratch file private to the running test: ctest runs each TEST as
+/// its own process, in parallel, so a name shared between tests (the
+/// StoreIoErrors fixture's files) would let two of them race.
+std::string temp_path(const std::string& name) {
+  const testing::TestInfo* test = testing::UnitTest::GetInstance()->current_test_info();
+  return testing::TempDir() + "/" + test->test_suite_name() + "." + test->name() + "." + name;
+}
 
 Dataset sample_dataset() {
   Dataset d;

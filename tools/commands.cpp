@@ -42,6 +42,17 @@ std::string join_names(const std::vector<std::string>& names) {
   return out;
 }
 
+/// The parameter a command tunes: --parameter when given, else the
+/// --mechanism's first. Throws when the mechanism has none.
+std::string tuned_parameter(const io::ParsedArgs& parsed, const lppm::Mechanism& mechanism) {
+  if (parsed.has("parameter")) return parsed.get("parameter");
+  if (mechanism.parameters().empty()) {
+    throw std::runtime_error("mechanism '" + parsed.get("mechanism") +
+                             "' has no tunable parameter");
+  }
+  return mechanism.parameters().front().name;
+}
+
 /// Builds the SystemDefinition shared by sweep/validate from parsed
 /// options (mechanism, parameter with range, metrics).
 core::SystemDefinition system_from_args(const io::ParsedArgs& parsed) {
@@ -50,12 +61,7 @@ core::SystemDefinition system_from_args(const io::ParsedArgs& parsed) {
   def.mechanism_factory = [mechanism] { return lppm::create_mechanism(mechanism); };
 
   const std::unique_ptr<lppm::Mechanism> probe = lppm::create_mechanism(mechanism);
-  const std::string parameter =
-      parsed.has("parameter") ? parsed.get("parameter")
-                              : (probe->parameters().empty()
-                                     ? throw std::runtime_error("mechanism '" + mechanism +
-                                                                "' has no tunable parameter")
-                                     : probe->parameters().front().name);
+  const std::string parameter = tuned_parameter(parsed, *probe);
   def.sweep = core::full_range_sweep(*probe, parameter,
                                      static_cast<std::size_t>(parsed.get_int("points")));
   if (parsed.has("min")) def.sweep.min_value = parsed.get_double("min");
@@ -84,25 +90,24 @@ struct EvalOptionDefaults {
   std::string utility = "area-coverage-f1";
   std::string seed = "42";
   std::string seed_help = "experiment seed";
-  std::string threads = "0";
-  std::string threads_help = "worker threads (0 = all cores)";
-  std::vector<std::string> threads_aliases;
 };
 
 /// The evaluation flags every evaluating command spells identically:
-/// --privacy-metric, --utility-metric, --threads, --seed. Old aliases
-/// (e.g. serve-sim's --workers) keep working with a deprecation note.
-void add_eval_options(io::ArgParser& parser, EvalOptionDefaults d = {}) {
+/// --privacy-metric, --utility-metric, --seed.
+void add_metric_options(io::ArgParser& parser, const EvalOptionDefaults& d = {}) {
   parser
       .add({.name = "privacy-metric",
             .help = "privacy metric (" + join_names(metrics::metric_names()) + ")",
             .default_value = d.privacy})
       .add({.name = "utility-metric", .help = "utility metric", .default_value = d.utility})
-      .add({.name = "threads",
-            .help = d.threads_help,
-            .default_value = d.threads,
-            .deprecated_aliases = d.threads_aliases})
       .add({.name = "seed", .help = d.seed_help, .default_value = d.seed});
+}
+
+/// The offline commands' evaluation flags: the metric flags plus
+/// --threads, the sweep worker count.
+void add_eval_options(io::ArgParser& parser) {
+  add_metric_options(parser);
+  parser.add({.name = "threads", .help = "worker threads (0 = all cores)", .default_value = "0"});
 }
 
 /// Renders one registry entry's ParameterSpecs under its name.
@@ -411,10 +416,7 @@ int cmd_protect(const Args& args) {
   const std::unique_ptr<lppm::Mechanism> mechanism =
       lppm::create_mechanism(parsed.get("mechanism"));
   if (parsed.has("value")) {
-    const std::string parameter = parsed.has("parameter")
-                                      ? parsed.get("parameter")
-                                      : mechanism->parameters().front().name;
-    mechanism->set_parameter(parameter, parsed.get_double("value"));
+    mechanism->set_parameter(tuned_parameter(parsed, *mechanism), parsed.get_double("value"));
   }
 
   const trace::Dataset protected_data =
@@ -639,6 +641,7 @@ int cmd_serve_sim(const Args& args) {
             .default_value = "taxi"})
       .add({.name = "users", .help = "synthetic workload: number of users",
             .default_value = "12"})
+      .add({.name = "workers", .help = "gateway worker threads", .default_value = "4"})
       .add({.name = "shards", .help = "session-manager shard count", .default_value = "8"})
       .add({.name = "queue-capacity", .help = "per-worker queue slots (backpressure bound)",
             .default_value = "1024"})
@@ -683,11 +686,7 @@ int cmd_serve_sim(const Args& args) {
                     "window_n, window_s, min_n, max_step, cooldown_s, eps_min, eps_max, "
                     "pr_slope, ut_slope)"})
       .add({.name = "out", .help = "write the telemetry snapshot JSON here"});
-  add_eval_options(parser, {.seed = "2016",
-                            .seed_help = "workload + noise seed",
-                            .threads = "4",
-                            .threads_help = "gateway worker threads",
-                            .threads_aliases = {"workers"}});
+  add_metric_options(parser, {.seed = "2016", .seed_help = "workload + noise seed"});
   add_trace_option(parser);
   const io::ParsedArgs parsed = parser.parse(args);
   maybe_enable_tracing(parsed);
@@ -712,7 +711,7 @@ int cmd_serve_sim(const Args& args) {
   }
 
   service::GatewayConfig cfg;
-  cfg.workers = static_cast<std::size_t>(parsed.get_int("threads"));
+  cfg.workers = static_cast<std::size_t>(parsed.get_int("workers"));
   cfg.queue_capacity = static_cast<std::size_t>(parsed.get_int("queue-capacity"));
   cfg.sessions.shard_count = static_cast<std::size_t>(parsed.get_int("shards"));
   cfg.sessions.idle_timeout_s = parsed.get_int("idle-timeout");

@@ -71,5 +71,11 @@ grep -q "drained, bye" "$DIR/serve_net.txt"
 # Error paths: unknown command and unknown option must fail loudly.
 if "$CLI" frobnicate 2>/dev/null; then echo "unknown command accepted"; exit 1; fi
 if "$CLI" generate --nope 1 --out /dev/null 2>/dev/null; then echo "unknown option accepted"; exit 1; fi
+# A value for a mechanism with no tunable parameter is a usage error, not a crash.
+STATUS=0
+"$CLI" protect --data "$DIR/data.csv" --mechanism noop --value 0.1 --out "$DIR/noop.csv" \
+  2> "$DIR/protect_noop.txt" || STATUS=$?
+[ "$STATUS" = 1 ] || { echo "protect --mechanism noop --value exited $STATUS"; exit 1; }
+grep -q "has no tunable parameter" "$DIR/protect_noop.txt"
 
 echo "cli workflow OK"
