@@ -4,14 +4,12 @@
 // protected locations should still fall in the block of the actual
 // location. The Grid rasterizes planar points into square cells of a
 // configurable size (default 115 m ≈ a San Francisco block) and supports
-// set operations over covered cells, which the area-coverage utility
-// metric is built on.
+// set operations over covered cells (a flat CellSet), which the
+// area-coverage utility metric is built on.
 #pragma once
 
 #include <cstdint>
-#include <iterator>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "geo/bbox.h"
@@ -26,22 +24,64 @@ struct CellIndex {
   friend constexpr bool operator==(CellIndex, CellIndex) = default;
 };
 
-/// Packs a CellIndex into a single 64-bit key (32 bits per axis, offset
-/// binary). Collision-free for |col|,|row| < 2^31, i.e. grids far larger
-/// than the Earth at meter resolution.
+/// The 64-bit key of a cell: the low 32 bits of each axis, column high.
+/// Collision-free for col and row in [-2^31, 2^31), the range CellSet
+/// and Grid's rasterizers enforce.
+[[nodiscard]] constexpr std::uint64_t cell_key(CellIndex c) noexcept {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.col)) << 32) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.row));
+}
+
+/// Hash of a CellIndex: the splitmix64 finalizer over its cell_key, cheap
+/// and well distributed.
 struct CellIndexHash {
-  [[nodiscard]] std::size_t operator()(CellIndex c) const noexcept {
-    const std::uint64_t key = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.col)) << 32) |
-                              static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.row));
-    // splitmix64 finalizer: cheap and well distributed.
+  [[nodiscard]] static constexpr std::uint64_t mix(std::uint64_t key) noexcept {
     std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(z ^ (z >> 31));
+    return z ^ (z >> 31);
+  }
+  [[nodiscard]] std::size_t operator()(CellIndex c) const noexcept {
+    return static_cast<std::size_t>(mix(cell_key(c)));
   }
 };
 
-using CellSet = std::unordered_set<CellIndex, CellIndexHash>;
+/// A set of grid cells, stored as one flat open-addressed table of
+/// cell_keys: linear probing, power-of-two capacity, load factor kept
+/// under 1/2. Membership, equality and intersection each run over the
+/// one contiguous slot array, with no per-cell allocation. Holds only
+/// cells whose axes lie in [-2^31, 2^31), where the key is collision-free.
+class CellSet {
+ public:
+  /// Adds `c`; true when it was not already a member. Throws
+  /// std::out_of_range when an axis lies outside [-2^31, 2^31).
+  bool insert(CellIndex c);
+
+  [[nodiscard]] bool contains(CellIndex c) const;
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  /// Makes room for `cells` members without regrowth.
+  void reserve(std::size_t cells);
+
+  /// Same cells, whatever the insertion order or table capacity.
+  friend bool operator==(const CellSet& a, const CellSet& b);
+  friend std::size_t intersection_size(const CellSet& a, const CellSet& b);
+
+ private:
+  // cell_key(-1, -1): the free-slot marker, so that one cell is tracked
+  // by `has_sentinel_cell_` instead of a slot.
+  static constexpr std::uint64_t kFree = ~0ULL;
+
+  [[nodiscard]] bool contains_key(std::uint64_t key) const;
+  // The slot holding `key`, or the free slot where it would go.
+  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const;
+  void rehash(std::size_t capacity);
+
+  std::vector<std::uint64_t> slots_;  // kFree or a member's key
+  std::size_t size_ = 0;
+  bool has_sentinel_cell_ = false;
+};
 
 /// Infinite uniform grid of square cells anchored at a configurable origin.
 class Grid {
@@ -66,40 +106,17 @@ class Grid {
   /// Snaps `p` to the center of its cell — the core of grid cloaking.
   [[nodiscard]] Point snap(Point p) const { return cell_center(cell_of(p)); }
 
-  /// The set of distinct cells covered by `pts`.
+  /// The set of distinct cells covered by `pts`. Unlike cell_of, which
+  /// leaves out-of-range input undefined, throws std::out_of_range when a
+  /// point's cell axis is NaN or outside [-2^31, 2^31).
   [[nodiscard]] CellSet covered_cells(std::span<const Point> pts) const;
 
   /// Columnar form over contiguous coordinate columns (a trace's
-  /// xs()/ys() spans); identical result to the span overload, but
-  /// optimized for time-ordered columns: consecutive same-cell samples
-  /// skip the hash insert and the floor is computed arithmetically.
-  /// Requires xs.size() == ys.size().
+  /// xs()/ys() spans); identical result and errors to the span overload.
+  /// Time-ordered columns make it fast: consecutive same-cell samples
+  /// skip the probe, and the floor is computed arithmetically. Requires
+  /// xs.size() == ys.size() (std::invalid_argument otherwise).
   [[nodiscard]] CellSet covered_cells(std::span<const double> xs, std::span<const double> ys) const;
-
-  /// Covered cells over any range whose items carry a location through
-  /// `proj` — rasterizes event sequences without an intermediate Point
-  /// vector. Identical result to the span overload. The constraint keeps
-  /// two-container calls (e.g. vector<double> columns) resolving to the
-  /// columnar overload above instead of binding here.
-  template <typename Range, typename Proj>
-    requires requires(const Range& r, Proj p) { Point{p(*std::begin(r))}; }
-  [[nodiscard]] CellSet covered_cells(const Range& range, Proj proj) const {
-    CellSet cells;
-    cells.reserve(std::size(range) / 4 + 1);
-    for (const auto& item : range) cells.insert(cell_of(proj(item)));
-    return cells;
-  }
-
-  /// Number of distinct cells covered by `pts`.
-  [[nodiscard]] std::size_t coverage_count(std::span<const Point> pts) const;
-
-  /// Columnar coverage count over contiguous coordinate columns — the
-  /// fast path when only the count is needed: it never materializes the
-  /// node-based CellSet, so it runs entirely on a flat scan (same
-  /// optimizations as the columnar covered_cells). Identical to
-  /// covered_cells(xs, ys).size(). Requires xs.size() == ys.size().
-  [[nodiscard]] std::size_t coverage_count(std::span<const double> xs,
-                                           std::span<const double> ys) const;
 
  private:
   double cell_size_;

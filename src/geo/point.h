@@ -40,6 +40,22 @@ struct Point {
 /// Euclidean distance between two planar points, meters.
 [[nodiscard]] inline double distance(Point a, Point b) { return (a - b).norm(); }
 
+/// Exactly `distance(a, b) <= r`, mostly without the hypot call: when
+/// dx²+dy² and r² are both normal numbers (r > 0) more than 1e-9 apart
+/// relative to r², their few-ulp rounding cannot reorder them against
+/// hypot's, so they decide; anything else (zero, subnormal, overflow,
+/// NaN, a near tie) asks hypot.
+[[nodiscard]] inline bool within_distance(Point a, Point b, double r) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  const double d2 = dx * dx + dy * dy;
+  const double r2 = r * r;
+  if (r > 0.0 && std::isnormal(d2) && std::isnormal(r2) && std::abs(d2 - r2) > 1e-9 * r2) {
+    return d2 < r2;
+  }
+  return std::hypot(dx, dy) <= r;
+}
+
 /// Squared Euclidean distance; cheaper when only comparisons are needed.
 [[nodiscard]] constexpr double distance_sq(Point a, Point b) {
   const double dx = a.x - b.x;

@@ -7,7 +7,8 @@
 //
 //   "staypoints"         std::vector<poi::StayPoint>  keyed by stay tolerance/duration
 //   "poi-set"            std::vector<poi::Poi>        built from cached stay points
-//   "coverage"           geo::CellSet                 keyed by cell size
+//   "coverage"           geo::CellSet                 keyed by cell size; one flat
+//                                                     table of packed cell keys
 //   "tracking-prior"     attack::TrackingPrior        dataset scope; keyed by raster
 //                                                     cell + split-partition id
 //   "tracking-prior-loo" attack::TrackingPrior        per user, fitted on everyone

@@ -27,7 +27,7 @@ std::vector<StayPoint> extract_stay_points(const trace::Trace& t, const Extracto
     // Grow the window while reports stay near the anchor location.
     const geo::Point anchor{xs[i], ys[i]};
     std::size_t j = i + 1;
-    while (j < n && geo::distance(anchor, {xs[j], ys[j]}) <= cfg.max_distance_m) ++j;
+    while (j < n && geo::within_distance(anchor, {xs[j], ys[j]}, cfg.max_distance_m)) ++j;
     // Window [i, j) ended; significant if it lasted long enough.
     const trace::Timestamp dwell = times[j - 1] - times[i];
     if (j - i >= 2 && dwell >= cfg.min_duration_s) {

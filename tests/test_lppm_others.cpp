@@ -66,7 +66,7 @@ TEST(GridCloaking, LargerCellsCoarser) {
   const GridCloaking coarse(2000.0);
   auto distinct = [](const trace::Trace& t) {
     const geo::Grid g(1.0);
-    return g.coverage_count(t.xs(), t.ys());
+    return g.covered_cells(t.xs(), t.ys()).size();
   };
   EXPECT_GT(distinct(fine.protect(input, 1)), distinct(coarse.protect(input, 1)));
 }

@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/model_store.h"
 #include "geo/grid.h"
+#include "geo/point.h"
 #include "geo/polyline.h"
 #include "geo/projection.h"
 #include "io/json.h"
@@ -50,6 +52,51 @@ TEST_P(SeededProperty, GridSnapIsIdempotentAndStaysInCell) {
     EXPECT_EQ(grid.snap(snapped), snapped);
     EXPECT_EQ(grid.cell_of(snapped), grid.cell_of(p));
     EXPECT_LE(geo::distance(p, snapped), cell * std::sqrt(2.0) / 2.0 + 1e-9);
+  }
+}
+
+TEST_P(SeededProperty, WithinDistanceMatchesHypotComparison) {
+  // within_distance may skip the hypot call but never change its answer:
+  // random pairs at random (and negated) radii, radii within 4 ulps of
+  // the exact distance, and the NaN, infinite, subnormal and overflowing
+  // differences its fast path must hand back to hypot.
+  stats::Rng rng(GetParam());
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_same = [](geo::Point a, geo::Point b, double r) {
+    EXPECT_EQ(geo::within_distance(a, b, r), geo::distance(a, b) <= r)
+        << a << " " << b << " r=" << r;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const double scale = std::pow(10.0, rng.uniform(-3.0, 6.0));
+    const geo::Point a{rng.uniform(-scale, scale), rng.uniform(-scale, scale)};
+    const geo::Point b{rng.uniform(-scale, scale), rng.uniform(-scale, scale)};
+    const double r = rng.uniform(0.0, 2.0 * scale);
+    expect_same(a, b, r);
+    expect_same(a, b, -r);  // no point is within a negative distance
+    const double d = geo::distance(a, b);
+    expect_same(a, b, d);
+    double up = d;
+    double down = d;
+    for (int k = 1; k <= 4; ++k) {
+      up = std::nextafter(up, inf);
+      down = std::nextafter(down, -inf);
+      expect_same(a, b, up);
+      expect_same(a, b, down);
+    }
+  }
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> coords{0.0,   tiny,    -tiny,   1e-160, 1e-300, 1.0,  1e154,
+                                   1e200, -1e200, 1.7e308, -1.7e308, inf,  -inf, nan};
+  const std::vector<double> radii{0.0,   -1.0, tiny, 1e-160, 1e-300, 1.0, 1e154,
+                                  1e200, 1e308, inf, -inf,   nan};
+  for (const double x : coords) {
+    for (const double y : coords) {
+      for (const double r : radii) {
+        expect_same({x, y}, {0.0, 0.0}, r);
+        expect_same({x, 1.0}, {-x, 1.0}, r);
+      }
+    }
   }
 }
 

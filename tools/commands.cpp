@@ -392,7 +392,8 @@ int cmd_configure(const Args& args) {
     const core::SweepPoint measured =
         core::evaluate_point(def, data, cfg.recommended,
                              static_cast<std::size_t>(parsed.get_int("trials")),
-                             static_cast<std::uint64_t>(parsed.get_int("seed")), cache);
+                             static_cast<std::uint64_t>(parsed.get_int("seed")), cache,
+                             static_cast<std::size_t>(parsed.get_int("threads")));
     std::cout << "measured on " << parsed.get("data") << ": " << def.privacy->name() << " = "
               << io::Table::num(measured.privacy_mean, 4) << ", " << def.utility->name() << " = "
               << io::Table::num(measured.utility_mean, 4) << "\n";

@@ -15,6 +15,12 @@ grep -q "poi_count" "$DIR/profile.txt"
 "$CLI" configure --model "$DIR/model.json" --privacy-max 0.5 > "$DIR/configure.txt"
 grep -q "recommended epsilon" "$DIR/configure.txt"
 EPS=$(sed -n 's/^recommended epsilon = //p' "$DIR/configure.txt")
+# --threads spreads the --data measurement's trials; the result must not move.
+for T in 1 4; do
+  "$CLI" configure --model "$DIR/model.json" --privacy-max 0.5 --data "$DIR/data.csv" \
+    --threads "$T" | grep "^measured on" > "$DIR/measured_$T.txt"
+done
+cmp "$DIR/measured_1.txt" "$DIR/measured_4.txt"
 
 "$CLI" protect --data "$DIR/data.csv" --value "$EPS" --out "$DIR/protected.csv"
 "$CLI" audit --actual "$DIR/data.csv" --protected "$DIR/protected.csv" > "$DIR/audit.txt"
