@@ -105,25 +105,31 @@ struct AdvantagePoint {
 
 /// Question 1: both adversaries attack the SAME protected dataset (same
 /// ε, same noise stream, no split — full-population galleries on both
-/// sides), so the advantage isolates what the motion model adds.
+/// sides), so the advantage isolates what the motion model adds. Each ε
+/// averages both linkage rates over the preset's `trials` noise draws.
 std::vector<AdvantagePoint> run_advantage(const trace::Dataset& data, const BenchParams& p) {
   const std::unique_ptr<metrics::Metric> poi = metrics::create_metric("reidentification-rate");
   const std::unique_ptr<metrics::Metric> tracking = metrics::create_metric("tracking-reident");
+  // The actual side is the same at every ε and trial.
+  const auto actual_cache = std::make_shared<metrics::ArtifactCache>();
   std::vector<AdvantagePoint> out;
   std::size_t point = 0;
   for (const double eps : core::sweep_values(eps_sweep(p))) {
     const std::unique_ptr<lppm::Mechanism> mech =
         lppm::create_mechanism("geo-indistinguishability");
     mech->set_parameter(lppm::GeoIndistinguishability::kEpsilon, eps);
-    const trace::Dataset protected_data =
-        mech->protect_dataset(data, stats::derive_seed(p.seed, point));
-    const auto actual_cache = std::make_shared<metrics::ArtifactCache>();
-    const auto protected_cache = std::make_shared<metrics::ArtifactCache>();
-    const metrics::EvalContext ctx(data, protected_data, actual_cache, protected_cache);
     AdvantagePoint a;
     a.epsilon = eps;
-    a.poi_reident = poi->evaluate(ctx);
-    a.tracking_reident = tracking->evaluate(ctx);
+    for (std::size_t trial = 0; trial < p.trials; ++trial) {
+      const trace::Dataset protected_data = mech->protect_dataset(
+          data, stats::derive_seed(stats::derive_seed(p.seed, point), trial));
+      const auto protected_cache = std::make_shared<metrics::ArtifactCache>();
+      const metrics::EvalContext ctx(data, protected_data, actual_cache, protected_cache);
+      a.poi_reident += poi->evaluate(ctx);
+      a.tracking_reident += tracking->evaluate(ctx);
+    }
+    a.poi_reident /= static_cast<double>(p.trials);
+    a.tracking_reident /= static_cast<double>(p.trials);
     out.push_back(a);
     ++point;
   }
@@ -185,7 +191,6 @@ int main(int argc, char** argv) {
   if (smoke) {
     p.commuters = 10;
     p.mixed_per_kind = 4;
-    p.trials = 1;
     p.eps_points = 3;
   }
 

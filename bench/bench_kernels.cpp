@@ -679,8 +679,8 @@ io::JsonObject bench_optimal(bool smoke, double& speedup_out, bool& identical_ou
                         spanner.spanner_dilation <= delta + 1e-12 &&
                         spanner.expected_loss >= exact.expected_loss - 1e-6;
 
-  // Serving throughput: one alias draw per event vs the planar-Laplace
-  // inverse-CDF draw, same epsilon, same workload.
+  // Serving throughput: one alias draw per event vs one planar-Laplace
+  // draw, same epsilon, same workload.
   const std::size_t events = smoke ? 20'000 : 200'000;
   const trace::Trace workload = serving_trace(events, half, 99);
   lppm::OptimalGeoInd optimal_mech(epsilon, delta);

@@ -9,7 +9,6 @@
 #include "metrics/area_coverage.h"
 #include "metrics/poi_retrieval.h"
 #include "poi/staypoint.h"
-#include "stats/lambert_w.h"
 #include "stats/rng.h"
 #include "synth/scenario.h"
 
@@ -35,15 +34,6 @@ void BM_PlanarLaplaceSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanarLaplaceSample);
-
-void BM_LambertWm1(benchmark::State& state) {
-  double x = -0.2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::lambert_wm1(x));
-    x = x >= -0.01 ? -0.36 : x + 0.001;  // walk the domain
-  }
-}
-BENCHMARK(BM_LambertWm1);
 
 void BM_GeoIndProtectTrace(benchmark::State& state) {
   const trace::Trace& t = cached_dataset()[0];

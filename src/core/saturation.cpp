@@ -6,6 +6,11 @@
 #include <vector>
 
 namespace locpriv::core {
+namespace {
+
+constexpr double kMinWidthFraction = 0.9;
+
+}  // namespace
 
 ActiveInterval detect_active_interval(std::span<const double> x, std::span<const double> y,
                                       const SaturationOptions& opts) {
@@ -20,13 +25,30 @@ ActiveInterval detect_active_interval(std::span<const double> x, std::span<const
     }
   }
 
-  // Local absolute slopes per segment [i, i+1].
+  // Local absolute slopes per segment [i, i+1]. A segment narrower than
+  // kMinWidthFraction × the median width takes its slope over a span
+  // grown toward its nearer neighbours until it is that wide.
   const std::size_t segments = x.size() - 1;
+  std::vector<double> widths(segments);
+  for (std::size_t i = 0; i < segments; ++i) widths[i] = x[i + 1] - x[i];
+  std::nth_element(widths.begin(), widths.begin() + segments / 2, widths.end());
+  const double min_width = kMinWidthFraction * widths[segments / 2];
+
   std::vector<double> slope(segments);
   double peak = 0.0;
   std::size_t peak_seg = 0;
   for (std::size_t i = 0; i < segments; ++i) {
-    slope[i] = std::abs((y[i + 1] - y[i]) / (x[i + 1] - x[i]));
+    std::size_t lo = i;
+    std::size_t hi = i + 1;
+    while (x[hi] - x[lo] < min_width && (lo > 0 || hi < segments)) {
+      const bool grow_up = lo == 0 || (hi < segments && x[hi + 1] - x[hi] <= x[lo] - x[lo - 1]);
+      if (grow_up) {
+        ++hi;
+      } else {
+        --lo;
+      }
+    }
+    slope[i] = std::abs((y[hi] - y[lo]) / (x[hi] - x[lo]));
     if (slope[i] > peak) {
       peak = slope[i];
       peak_seg = i;

@@ -6,7 +6,11 @@
 // interval from the sweep data: a segment is active when its local slope
 // (in model space, i.e. against ln ε for log sweeps) is at least
 // `flat_fraction` of the peak slope; the non-saturated interval is the
-// longest contiguous active run.
+// longest contiguous active run. A segment narrower than 0.9 × the
+// median segment width (merged refinement rounds make such segments)
+// takes its slope over a span widened to that width, so trial noise
+// between two close points cannot become the peak; on a uniform sweep
+// every slope is the plain per-segment one.
 #pragma once
 
 #include <cstddef>

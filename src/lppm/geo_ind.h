@@ -2,7 +2,8 @@
 // paper's illustration configures.
 //
 // Adds planar-Laplace noise to every reported location: direction
-// uniform, radius from the inverse CDF r = -(1/ε)(W₋₁((p-1)/e)+1). The
+// uniform, radius with CDF 1 - (1 + εr)e^{-εr}, drawn exactly by
+// stats::sample_planar_laplace (Marsaglia's polar construction). The
 // resulting obfuscation satisfies ε-geo-indistinguishability: for any
 // two locations x, x' and output z,
 //   Pr[z|x] <= e^{ε·d(x,x')} · Pr[z|x'].

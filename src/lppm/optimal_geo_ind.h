@@ -7,7 +7,8 @@
 // minimizes expected loss subject to eps-geo-indistinguishability over
 // cell centers (see lppm/optimal_matrix.h for the solver), and serves
 // each event with a single alias-method draw from its cell's row —
-// O(1) per event, cheaper than the planar-Laplace inverse CDF.
+// O(1) per event, with no log or sqrt (the planar-Laplace draw needs one
+// of each).
 //
 // The `delta` parameter trades build time for optimality: 1.0 enforces
 // the exact dense constraint set; larger values prune constraints to a

@@ -6,8 +6,9 @@
 // draw costs one uniform index plus one uniform real, independent of
 // the number of outcomes. This is the serving core of the optimal
 // geo-indistinguishable mechanism: one table per grid row turns the
-// precomputed stochastic matrix into one-draw-per-event protection,
-// cheaper at serve time than the planar-Laplace inverse CDF.
+// precomputed stochastic matrix into one-draw-per-event protection:
+// two RNG values and no transcendental call, against the planar-Laplace
+// draw's 3.55 values (on average), one log and one sqrt.
 //
 // Construction is deterministic (stable two-stack partition, no
 // randomness), so tables built from the same weights are bit-identical

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "geo/latlng.h"  // kPi
-#include "stats/lambert_w.h"
 
 namespace locpriv::stats {
 namespace {
@@ -90,27 +89,22 @@ geo::Point Rng::uniform_disk(double radius) {
   return {r * std::cos(theta), r * std::sin(theta)};
 }
 
-double planar_laplace_radius_cdf(double eps, double r) {
-  if (!(eps > 0.0)) throw std::invalid_argument("planar_laplace_radius_cdf: eps must be > 0");
-  if (r <= 0.0) return 0.0;
-  return 1.0 - (1.0 + eps * r) * std::exp(-eps * r);
-}
-
-double planar_laplace_radius_quantile(double eps, double p) {
-  if (!(eps > 0.0)) throw std::invalid_argument("planar_laplace_radius_quantile: eps must be > 0");
-  if (p < 0.0 || p >= 1.0) {
-    throw std::invalid_argument("planar_laplace_radius_quantile: p outside [0, 1)");
-  }
-  if (p == 0.0) return 0.0;
-  // r = -(1/eps) (W_{-1}((p-1)/e) + 1); (p-1)/e lies in [-1/e, 0).
-  const double arg = (p - 1.0) * std::exp(-1.0);
-  return -(lambert_wm1(arg) + 1.0) / eps;
-}
-
 geo::Point sample_planar_laplace(Rng& rng, double eps) {
-  const double theta = rng.uniform(0.0, 2.0 * geo::kPi);
-  const double r = planar_laplace_radius_quantile(eps, rng.uniform());
-  return {r * std::cos(theta), r * std::sin(theta)};
+  if (!(eps > 0.0)) throw std::invalid_argument("sample_planar_laplace: eps must be > 0");
+  // (u, v) uniform on the unit disk minus its centre: s = u² + v² is
+  // uniform on (0, 1) and independent of the direction (u, v)/√s.
+  double u = 0.0;
+  double v = 0.0;
+  double s = 0.0;
+  do {
+    u = 2.0 * rng.uniform() - 1.0;
+    v = 2.0 * rng.uniform() - 1.0;
+    s = u * u + v * v;
+  } while (s >= 1.0 || s == 0.0);
+  // -ln s and -ln U are independent Exp(1), so eps·r ~ Gamma(2, 1).
+  const double r = -std::log(s * rng.uniform_open0()) / eps;
+  const double scale = r / std::sqrt(s);
+  return {u * scale, v * scale};
 }
 
 }  // namespace locpriv::stats

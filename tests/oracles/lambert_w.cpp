@@ -1,4 +1,4 @@
-#include "stats/lambert_w.h"
+#include "oracles/lambert_w.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,9 +1,10 @@
 // Lambert W function (real branches).
 //
-// The planar-Laplace mechanism of Geo-Indistinguishability samples its
-// radius via the inverse CDF r = -(1/ε)·(W₋₁((p-1)/e) + 1), so the W₋₁
-// branch is load-bearing for the whole library. Both real branches are
-// implemented with analytic seeds refined by Halley iterations.
+// A test oracle: the W₋₁ branch gives the planar-Laplace radius quantile
+// in closed form (oracles/planar_laplace.h), the exact inverse-CDF
+// reference the production sampler (stats::sample_planar_laplace) is
+// checked against. Both real branches are implemented with analytic
+// seeds refined by Halley iterations.
 #pragma once
 
 namespace locpriv::stats {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/greedy.h"
 #include "metrics/distortion.h"
 #include "test_util.h"
@@ -34,18 +36,31 @@ TEST(Greedy, MeetsPrivacyObjective) {
 TEST(Greedy, MeetsJointObjectives) {
   const SystemDefinition def = narrow_system();
   const trace::Dataset data = testutil::two_stop_dataset(3);
-  // Loose enough that a joint-feasible window exists on this small,
-  // quantized dataset (per-user recall moves in sixths).
+  // On this dataset Pr <= 0.50 holds in expectation up to ε ≈ 0.019 and
+  // Ut >= 0.20 from ε ≈ 0.0135, so the joint window is about
+  // 0.0135-0.019 (per-user recall moves in sixths).
   const std::vector<Objective> objectives{
       {Axis::kPrivacy, Sense::kAtMost, 0.50},
-      {Axis::kUtility, Sense::kAtLeast, 0.30},
+      {Axis::kUtility, Sense::kAtLeast, 0.20},
   };
-  GreedyConfig cfg;
-  cfg.max_iterations = 15;
-  const GreedyResult r = greedy_configure(def, data, objectives, cfg);
-  EXPECT_TRUE(r.converged) << "best pr=" << r.privacy << " ut=" << r.utility;
-  EXPECT_LE(r.privacy, 0.50 + 1e-9);
-  EXPECT_GE(r.utility, 0.30 - 1e-9);
+  // The premise first: the window's middle meets both objectives in
+  // expectation, measured over many trials rather than one draw.
+  const SweepPoint inside = evaluate_point(def, data, 0.016, 200, 7);
+  ASSERT_LE(inside.privacy_mean, 0.50);
+  ASSERT_GE(inside.utility_mean, 0.20);
+
+  // Then the search, one noisy trial per evaluation, from many seeds:
+  // a pinned seed could converge by luck.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    GreedyConfig cfg;
+    cfg.max_iterations = 15;
+    cfg.seed = seed;
+    const GreedyResult r = greedy_configure(def, data, objectives, cfg);
+    EXPECT_TRUE(r.converged) << "seed " << seed << ": best pr=" << r.privacy
+                             << " ut=" << r.utility;
+    EXPECT_LE(r.privacy, 0.50 + 1e-9) << "seed " << seed;
+    EXPECT_GE(r.utility, 0.20 - 1e-9) << "seed " << seed;
+  }
 }
 
 TEST(Greedy, ImpossibleObjectiveDoesNotConverge) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "core/loglinear_model.h"
 #include "core/refinement.h"
@@ -75,15 +78,32 @@ TEST(Refinement, ImprovesTransitionResolution) {
 }
 
 TEST(Refinement, MergedSweepStillFits) {
+  // Merging rounds puts points a few percent apart in ε next to each
+  // other; one-trial noise between them must not hide the transition
+  // from the saturation detector. Asserted as a fit rate over a fixed
+  // seed range, not at one seed: the plain sweep and the final round
+  // each fit at every seed here, and the merged sweep must nearly so.
   const SystemDefinition def = make_geo_i_system(11);
   synth::TaxiScenarioConfig scenario;
   scenario.driver_count = 4;
   scenario.taxi.shift_duration_s = 4 * 3600;
   const trace::Dataset data = synth::make_taxi_dataset(scenario, 3);
-  const RefinedSweep refined = run_refined_sweep(def, data, fast(2));
-  const LppmModel model = fit_loglinear_model(refined.merged);
-  EXPECT_GT(model.privacy.fit.slope, 0.0);
-  EXPECT_TRUE(std::isfinite(model.privacy.fit.r_squared));
+  int fitted = 0;
+  std::string unfitted;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    RefinementConfig cfg = fast(2);
+    cfg.experiment.seed = seed;
+    const RefinedSweep refined = run_refined_sweep(def, data, cfg);
+    try {
+      const LppmModel model = fit_loglinear_model(refined.merged);
+      EXPECT_GT(model.privacy.fit.slope, 0.0) << "seed " << seed;
+      EXPECT_TRUE(std::isfinite(model.privacy.fit.r_squared)) << "seed " << seed;
+      ++fitted;
+    } catch (const std::runtime_error&) {
+      unfitted += " " + std::to_string(seed);
+    }
+  }
+  EXPECT_GE(fitted, 45) << "merged sweeps that did not fit, by seed:" << unfitted;
 }
 
 TEST(Refinement, EvaluationAccountingAddsUp) {

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/saturation.h"
+#include "core/sweep.h"
+#include "stats/rng.h"
 
 namespace locpriv::core {
 namespace {
@@ -81,6 +85,81 @@ TEST(Saturation, FlatFractionControlsStrictness) {
   const ActiveInterval loose = detect_active_interval(xs, ys, {0.05});
   const ActiveInterval strict = detect_active_interval(xs, ys, {0.5});
   EXPECT_LT(strict.point_count(), loose.point_count());
+}
+
+/// The per-segment rule: each segment's slope over its own width, then
+/// the longest run at or above flat_fraction x peak (ties: the run
+/// holding the first peak, then the earlier run). The detector must
+/// reproduce it exactly on uniform sweeps.
+std::pair<std::size_t, std::size_t> per_segment_interval(const std::vector<double>& xs,
+                                                         const std::vector<double>& ys,
+                                                         double flat_fraction) {
+  std::vector<double> slope;
+  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
+    slope.push_back(std::abs((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])));
+  }
+  const auto peak_it = std::max_element(slope.begin(), slope.end());
+  const auto peak = static_cast<std::size_t>(peak_it - slope.begin());
+  const double threshold = flat_fraction * *peak_it;
+  std::size_t best_start = peak;
+  std::size_t best_len = 1;
+  bool best_has_peak = true;
+  for (std::size_t i = 0; i < slope.size();) {
+    std::size_t j = i;
+    while (j < slope.size() && slope[j] >= threshold) ++j;
+    if (j == i) {
+      ++i;
+      continue;
+    }
+    const bool has_peak = peak >= i && peak < j;
+    if (j - i > best_len || (j - i == best_len && has_peak && !best_has_peak)) {
+      best_start = i;
+      best_len = j - i;
+      best_has_peak = has_peak;
+    }
+    i = j;
+  }
+  return {best_start, best_start + best_len};
+}
+
+TEST(Saturation, UniformSweepsKeepThePerSegmentInterval) {
+  // Noisy S-curves on the log-ε grid a sweep uses: every segment is as
+  // wide as the median, so no slope may be taken over a wider span.
+  SweepSpec spec;
+  spec.min_value = 1e-4;
+  spec.max_value = 1.0;
+  spec.point_count = 21;
+  std::vector<double> xs;
+  std::vector<double> centred;  // the S-curve's transition at ln ε ≈ -5
+  for (const double eps : sweep_values(spec)) {
+    xs.push_back(model_x(eps, spec.scale));
+    centred.push_back(xs.back() + 5.0);
+  }
+  for (const double noise : {0.01, 0.05, 0.2}) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      stats::Rng rng(seed);
+      std::vector<double> ys = scurve(centred);
+      for (double& y : ys) y += noise * rng.normal();
+      const ActiveInterval iv = detect_active_interval(xs, ys);
+      const auto [first, last] = per_segment_interval(xs, ys, SaturationOptions{}.flat_fraction);
+      EXPECT_EQ(iv.first, first) << "noise " << noise << " seed " << seed;
+      EXPECT_EQ(iv.last, last) << "noise " << noise << " seed " << seed;
+    }
+  }
+}
+
+TEST(Saturation, NarrowSegmentNoiseDoesNotBecomeThePeak) {
+  // A refinement round merged into a coarse sweep can put two points
+  // 0.01 apart where the grid step is 0.5. A 0.05 wiggle between them
+  // in the saturated tail is a per-segment slope of 5, twenty times the
+  // real transition's 0.25, which would then fall under the threshold.
+  std::vector<double> xs = linspace(-6.0, 6.0, 25);
+  std::vector<double> ys = scurve(xs);
+  xs.insert(xs.begin() + 4, xs[3] + 0.01);
+  ys.insert(ys.begin() + 4, ys[3] + 0.05);
+  const ActiveInterval iv = detect_active_interval(xs, ys);
+  EXPECT_NEAR(iv.x_low, -2.0, 0.6);
+  EXPECT_NEAR(iv.x_high, 2.0, 0.6);
 }
 
 TEST(Saturation, Validation) {

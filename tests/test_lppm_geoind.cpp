@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "lppm/geo_ind.h"
 #include "oracles/ks_test.h"
+#include "oracles/planar_laplace.h"
 #include "stats/online.h"
 #include "stats/rng.h"
 #include "test_util.h"
@@ -209,6 +211,26 @@ TEST(GeoIndStatistical, EpsilonScalingCollapsesToTheUnitDistribution) {
     EXPECT_GT(ks.p_value, kKsPValueFloor)
         << "eps = " << eps << " does not rescale to the unit law, KS D = " << ks.statistic;
   }
+}
+
+TEST(GeoIndStatistical, KsPValuesAreCalibratedAcrossSeeds) {
+  // A fixed seed checks one realization of the law; this checks many.
+  // For the exact law each seed's p-value is uniform, so at most 7 of
+  // 200 may fall below 0.01: Binomial(200, 0.01) reaches 8 with
+  // probability 0.001. A slightly wrong law that one seed can pass
+  // shifts many p-values low at once.
+  int low = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const std::vector<geo::Point> d =
+        displacement_sample(0.02, 8000, stats::derive_seed(kKsSeed, seed));
+    std::vector<double> radii;
+    radii.reserve(d.size());
+    for (const geo::Point& p : d) radii.push_back(std::hypot(p.x, p.y));
+    const stats::KsResult ks = stats::ks_test(
+        radii, [](double r) { return stats::planar_laplace_radius_cdf(0.02, r); });
+    if (ks.p_value < kKsPValueFloor) ++low;
+  }
+  EXPECT_LE(low, 7) << "KS p-values below " << kKsPValueFloor << " in " << low << " of 200 seeds";
 }
 
 TEST(GeoIndStatistical, KsCatchesAWrongDistribution) {

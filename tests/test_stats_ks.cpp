@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "oracles/ks_test.h"
+#include "oracles/planar_laplace.h"
 #include "stats/rng.h"
 
 namespace locpriv::stats {

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "stats/lambert_w.h"
+#include "oracles/lambert_w.h"
 
 namespace locpriv::stats {
 namespace {

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "oracles/ks_test.h"
+#include "oracles/planar_laplace.h"
 #include "stats/descriptive.h"
 #include "stats/online.h"
 #include "stats/rng.h"
@@ -184,6 +187,49 @@ TEST(PlanarLaplace, RadiusDistributionMatchesCdf) {
                                           [&](double v) { return v <= r; })) /
         n;
     EXPECT_NEAR(empirical, planar_laplace_radius_cdf(eps, r), 0.01) << "r = " << r;
+  }
+}
+
+TEST(PlanarLaplace, RejectsNonPositiveAndNanEpsilon) {
+  Rng rng(37);
+  for (const double eps : {0.0, -0.0, -0.01, -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)sample_planar_laplace(rng, eps), std::invalid_argument) << "eps = " << eps;
+  }
+}
+
+TEST(PlanarLaplace, RadiusAndAngleAreIndependent) {
+  // The sampler derives both the radius and the direction from one
+  // (u, v) pair, so a fault there would couple them while each marginal
+  // could still look right. The radius law must hold within every angle
+  // octant, and the uniform angle within every radius tercile.
+  constexpr double kPi = 3.14159265358979323846;
+  const double eps = 0.02;
+  const int n = 2'000'000;
+  const double tercile_1 = planar_laplace_radius_quantile(eps, 1.0 / 3.0);
+  const double tercile_2 = planar_laplace_radius_quantile(eps, 2.0 / 3.0);
+  std::vector<std::vector<double>> radius_by_octant(8);
+  std::vector<std::vector<double>> angle_by_tercile(3);
+  Rng rng(20160317);
+  for (int i = 0; i < n; ++i) {
+    const geo::Point p = sample_planar_laplace(rng, eps);
+    const double r = std::hypot(p.x, p.y);
+    const double theta = std::atan2(p.y, p.x);  // [-pi, pi]
+    const auto octant =
+        std::min<std::size_t>(7, static_cast<std::size_t>((theta + kPi) / (kPi / 4)));
+    radius_by_octant[octant].push_back(r);
+    angle_by_tercile[r < tercile_1 ? 0 : r < tercile_2 ? 1 : 2].push_back(theta);
+  }
+  for (std::size_t o = 0; o < radius_by_octant.size(); ++o) {
+    const KsResult ks = ks_test(radius_by_octant[o],
+                                [eps](double r) { return planar_laplace_radius_cdf(eps, r); });
+    EXPECT_GT(ks.p_value, 0.01) << "radius law in octant " << o << ", KS D = " << ks.statistic;
+  }
+  for (std::size_t t = 0; t < angle_by_tercile.size(); ++t) {
+    const KsResult ks = ks_test(angle_by_tercile[t],
+                                [kPi](double theta) { return (theta + kPi) / (2.0 * kPi); });
+    EXPECT_GT(ks.p_value, 0.01) << "angle law in radius tercile " << t
+                                << ", KS D = " << ks.statistic;
   }
 }
 
