@@ -53,11 +53,11 @@ struct Params {
   std::size_t single_users = 150000;    ///< load users, 1-shard baseline
   std::size_t sharded_users = 1000000;  ///< load users, the real fleet
   std::size_t shards = 4;
-  std::size_t workers = 2;     ///< gateway threads per shard
+  std::size_t workers = 2;     ///< gateway downstream lanes per shard
   long downstream_us = 150;    ///< simulated LBS round-trip per delivery
   std::size_t window = 256;    ///< per-connection in-flight cap
   std::size_t batch = 64;      ///< frames per client write
-  std::size_t queue = 4096;    ///< per-worker gateway queue slots
+  std::size_t queue = 4096;    ///< held answers per gateway lane
 };
 
 struct ClientResult {

@@ -1,7 +1,7 @@
 // Resilience soak: the serving gateway under deterministic chaos.
 //
 // Replays the standard taxi workload with an aggressive injected fault
-// schedule — 25 % downstream failures, latency spikes, worker stalls,
+// schedule — 25 % downstream failures, latency spikes, gateway stalls,
 // clock skew and queue-overflow bursts — across the three degradation
 // policies, and verifies the two hard guarantees on every run:
 //
@@ -31,9 +31,9 @@ namespace {
 using namespace locpriv;
 
 /// Order-independent digest of the full answer multiset. Answer *values*
-/// are deterministic but arrival *order* is not: rejections are answered
-/// inline on the submitting thread and race (in wall-clock order only)
-/// with worker-thread answers for the same user. Each report is answered
+/// are deterministic but arrival *order* is not seq order: rejections
+/// are answered at once and may overtake the user's answers still held
+/// in a lane, depending on wall-clock timing. Each report is answered
 /// exactly once and its seq is unique, so hashing every answer's full
 /// field tuple and combining commutatively pins down the entire outcome.
 class AnswerDigest {

@@ -1,12 +1,13 @@
 // Serving-runtime throughput: events/sec and tail latency of the
-// obfuscation gateway across worker/shard configurations.
+// obfuscation gateway across lane/shard configurations (`workers` is
+// the lane count).
 //
 // Each delivered report pays a simulated downstream LBS round-trip
 // (the gateway protects, forwards, and awaits the service's answer), so
 // throughput scales with concurrency the way a real gateway's does:
-// workers overlap their downstream waits even on a single core. The
-// single-worker row is the sequential baseline every other row must
-// beat for the pool to pay its way.
+// lanes overlap their downstream waits on one thread. The single-lane
+// row is the sequential baseline every other row must beat for the
+// lanes to pay their way.
 #include <chrono>
 #include <iostream>
 #include <vector>
@@ -59,7 +60,7 @@ int main() {
   }
   table.print(std::cout);
 
-  std::cout << "\nthe downstream wait dominates per-report cost, so the pool overlaps\n"
-               "it: N workers approach N x the single-worker rate until CPU-bound.\n";
+  std::cout << "\nthe downstream wait dominates per-report cost, so the lanes overlap\n"
+               "it: N lanes approach N x the single-lane rate until CPU-bound.\n";
   return 0;
 }

@@ -1,17 +1,16 @@
 // Scenario: an online location-based service. Users stream location
 // reports; the serving gateway (src/service/) protects each one with
-// budgeted Geo-I *as it happens* — many users concurrently, exactly the
+// budgeted Geo-I *as it happens* — many users interleaved, exactly the
 // deployment mode the offline framework configures. The service answers
 // nearest-site queries; we measure how often the answer survives
 // protection, what the ε budget suppresses, and what the gateway's own
 // telemetry says about the run.
 //
 // Compare the per-user loop this example used to hand-roll: the gateway
-// now owns sessions (sharded + lazily created), concurrency (worker
-// pool with per-user ordering) and observability (telemetry snapshot).
+// now owns sessions (sharded + lazily created), downstream waits (lanes
+// with per-user ordering) and observability (telemetry snapshot).
 #include <iostream>
 #include <map>
-#include <mutex>
 #include <vector>
 
 #include "geo/kdtree.h"
@@ -52,17 +51,15 @@ int main() {
 
   // The sink plays the LBS: answer each delivered (protected) report's
   // nearest-site query and check it against the true location's answer.
-  // It runs on worker threads, so the tallies take a mutex.
+  // It runs on the replaying thread, so the tallies need no lock.
   struct UserTally {
     std::size_t delivered = 0;
     std::size_t consistent = 0;
     std::size_t suppressed = 0;
   };
-  std::mutex tally_mutex;
   std::map<std::string, UserTally> tallies;
 
   service::Gateway gateway(cfg, [&](const service::ProtectedReport& r) {
-    std::lock_guard lock(tally_mutex);
     UserTally& tally = tallies[r.user_id];
     if (r.status != service::ReportStatus::delivered) {
       ++tally.suppressed;

@@ -102,10 +102,10 @@ bool Connection::request(FrameType type, const std::string& payload, FrameType e
 std::size_t ShardMap::shard_of(const std::string& user) const {
   if (shards == 0) return 0;
   // Finalizer mix (murmur3 fmix64) before the modulo: the gateway routes
-  // users onto worker queues with raw stable_hash64 % workers, so taking
-  // the same raw hash % shards here would hand each shard only users
-  // whose hash is congruent mod `shards` — and whenever workers divides
-  // shards, every one of them collapses onto a single worker queue. The
+  // users onto downstream lanes with raw stable_hash64 % workers, so
+  // taking the same raw hash % shards here would hand each shard only
+  // users whose hash is congruent mod `shards` — and whenever workers
+  // divides shards, every one of them collapses onto a single lane. The
   // mix decorrelates the two modulos while staying a pure function of
   // the user id, so client and service still agree byte-for-byte.
   std::uint64_t h = service::stable_hash64(user);

@@ -29,7 +29,7 @@ void signal_pipe_handler(int signo) {
   errno = saved_errno;
 }
 
-bool make_wake_pipe(Fd& read_end, Fd& write_end) {
+bool make_signal_pipe(Fd& read_end, Fd& write_end) {
   int fds[2];
   if (::pipe(fds) != 0) return false;
   read_end.reset(fds[0]);
@@ -43,28 +43,15 @@ bool make_wake_pipe(Fd& read_end, Fd& write_end) {
 EventLoop::EventLoop(Backend backend) : backend_(backend) {
 #ifdef __linux__
   if (backend_ == Backend::kDefault) backend_ = Backend::kEpoll;
-#else
-  if (backend_ == Backend::kDefault || backend_ == Backend::kEpoll) backend_ = Backend::kPoll;
-#endif
-  if (!make_wake_pipe(wake_read_, wake_write_)) {
-    std::fprintf(stderr, "%s\n", errno_message("event loop: wake pipe").c_str());
-    std::abort();
-  }
-#ifdef __linux__
   if (backend_ == Backend::kEpoll) {
     epoll_fd_.reset(::epoll_create1(EPOLL_CLOEXEC));
     if (!epoll_fd_.valid()) {
       std::fprintf(stderr, "%s\n", errno_message("event loop: epoll_create1").c_str());
       std::abort();
     }
-    struct epoll_event ev = {};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_read_.get();
-    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_read_.get(), &ev) != 0) {
-      std::fprintf(stderr, "%s\n", errno_message("event loop: epoll_ctl(wake)").c_str());
-      std::abort();
-    }
   }
+#else
+  if (backend_ == Backend::kDefault || backend_ == Backend::kEpoll) backend_ = Backend::kPoll;
 #endif
 }
 
@@ -87,6 +74,7 @@ bool EventLoop::add(int fd, unsigned interest, Callback cb) {
 bool EventLoop::modify(int fd, unsigned interest) {
   const auto it = entries_.find(fd);
   if (it == entries_.end()) return false;
+  if (it->second.interest == interest) return true;
 #ifdef __linux__
   if (backend_ == Backend::kEpoll) {
     struct epoll_event ev = {};
@@ -138,8 +126,7 @@ int EventLoop::wait_epoll(int timeout_ms, std::vector<std::pair<int, unsigned>>&
 
 int EventLoop::wait_poll(int timeout_ms, std::vector<std::pair<int, unsigned>>& ready) {
   std::vector<struct pollfd> pfds;
-  pfds.reserve(entries_.size() + 1);
-  pfds.push_back({wake_read_.get(), POLLIN, 0});
+  pfds.reserve(entries_.size());
   for (const auto& [fd, entry] : entries_) {
     short events = 0;
     if (entry.interest & kEventRead) events |= POLLIN;
@@ -174,12 +161,6 @@ int EventLoop::run_once(int timeout_ms) {
   std::vector<std::tuple<int, unsigned, std::uint64_t>> batch;
   batch.reserve(ready.size());
   for (const auto& [fd, mask] : ready) {
-    if (fd == wake_read_.get()) {
-      char buf[256];
-      while (read_some(wake_read_.get(), buf, sizeof buf) > 0) {
-      }
-      continue;
-    }
     const auto it = entries_.find(fd);
     if (it != entries_.end()) batch.emplace_back(fd, mask, it->second.gen);
   }
@@ -202,15 +183,8 @@ void EventLoop::run() {
   while (!stopped_) (void)run_once(-1);
 }
 
-void EventLoop::wake() {
-  const char byte = 0;
-  // Non-blocking pipe: EAGAIN means a wake is already pending — good.
-  while (::write(wake_write_.get(), &byte, 1) < 0 && errno == EINTR) {
-  }
-}
-
 SignalPipe::SignalPipe() {
-  if (!make_wake_pipe(read_fd_, write_fd_)) {
+  if (!make_signal_pipe(read_fd_, write_fd_)) {
     std::fprintf(stderr, "%s\n", errno_message("signal pipe").c_str());
     std::abort();
   }

@@ -7,10 +7,9 @@
 // dispatch, and a removed-then-reused fd number never receives the old
 // registration's stale events.
 //
-// wake() is the only thread-safe entry point — any thread (a gateway
-// sink thread with a freshly filled outbox, a signal handler via
-// SignalPipe) may call it to pop the loop out of its poll sleep. All
-// other methods must be called from the loop thread.
+// Every method must be called from the loop thread. A signal handler
+// reaches the loop through SignalPipe; a caller with timed work (the
+// shard's held answers) bounds run_once()'s timeout instead.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +48,8 @@ class EventLoop {
   /// or the backend rejects the fd. The fd must be non-blocking.
   [[nodiscard]] bool add(int fd, unsigned interest, Callback cb);
 
-  /// Changes the interest mask of a registered fd.
+  /// Changes the interest mask of a registered fd. An unchanged mask
+  /// costs no system call.
   [[nodiscard]] bool modify(int fd, unsigned interest);
 
   /// Unregisters `fd`. Safe to call from inside its own (or any other)
@@ -58,20 +58,15 @@ class EventLoop {
 
   /// One poll iteration: waits up to `timeout_ms` (-1 = forever), then
   /// dispatches ready callbacks. Returns the number of callbacks
-  /// dispatched (0 on timeout or wake()).
+  /// dispatched (0 on timeout).
   int run_once(int timeout_ms);
 
   /// run_once(-1) until stop(). Re-entrant callbacks may call stop().
   void run();
 
-  /// Makes run() return after the current iteration. Loop-thread only;
-  /// from another thread, call wake() after setting your own flag.
+  /// Makes run() return after the current iteration.
   void stop() { stopped_ = true; }
   [[nodiscard]] bool stopped() const { return stopped_; }
-
-  /// Thread-safe, async-signal-safe: interrupts the poll sleep so the
-  /// loop re-examines external state (outboxes, shutdown flags).
-  void wake();
 
   [[nodiscard]] Backend backend() const { return backend_; }
   [[nodiscard]] std::size_t watched() const { return entries_.size(); }
@@ -88,8 +83,6 @@ class EventLoop {
 
   Backend backend_;
   Fd epoll_fd_;
-  Fd wake_read_;
-  Fd wake_write_;
   std::unordered_map<int, Entry> entries_;
   std::uint64_t next_gen_ = 1;
   bool stopped_ = false;

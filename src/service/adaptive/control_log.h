@@ -2,12 +2,12 @@
 // sessions made — the audit trail of the control plane.
 //
 // Two consumers: the determinism suite, which serializes the whole log
-// to a canonical byte string and memcmp-compares replays across worker
+// to a canonical byte string and memcmp-compares replays across lane
 // counts; and the telemetry report, which summarizes the log as the
 // "adaptive" JSON block (decision/action counts, saturations, ε
-// trajectory histogram, per-user convergence). Decisions arrive from
-// worker threads, one user at a time (the session lock serializes each
-// user), so the log only needs a mutex around the map.
+// trajectory histogram, per-user convergence). Decisions arrive on the
+// thread that drives the gateway, one user at a time (the session lock
+// serializes each user), so the log only needs a mutex around the map.
 #pragma once
 
 #include <cstddef>

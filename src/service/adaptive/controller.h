@@ -16,7 +16,7 @@
 // Determinism: the controller is a pure function of the delivered pair
 // sequence (values and virtual timestamps). It never reads a wall
 // clock, thread id or RNG, so identical streams produce identical
-// decision sequences at any worker count, with tracing on or off.
+// decision sequences at any lane count, with tracing on or off.
 #pragma once
 
 #include <cstdint>

@@ -24,8 +24,8 @@ namespace locpriv::service::adaptive {
 class AdaptiveGeoIndSession final : public lppm::StreamSession {
  public:
   /// Receives every control decision (for the gateway's ControlLog).
-  /// Called from the session's (serialized) worker context; may be
-  /// empty.
+  /// Called on the thread that drives the gateway, under the session
+  /// lock; may be empty.
   using DecisionSink = std::function<void(const ControlDecision&)>;
 
   AdaptiveGeoIndSession(const ObjectiveSpec& spec, double initial_eps, lppm::GeoIndBudget budget,

@@ -71,8 +71,8 @@ class StreamAuditor {
   /// shared_ptr.
   explicit StreamAuditor(std::shared_ptr<const trace::TraceStore> store, AuditWindow window = {});
 
-  /// Records one sink event. Thread-safe: the gateway delivers from its
-  /// worker threads. Reports without a protected event (suppressed,
+  /// Records one sink event. Thread-safe, though the gateway calls its
+  /// sink from one thread at a time. Reports without a protected event (suppressed,
   /// rejected) carry no deliverable location and are skipped.
   void record(const ProtectedReport& report);
 

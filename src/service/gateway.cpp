@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "lppm/grid_cloaking.h"
 #include "metrics/registry.h"
@@ -73,12 +74,20 @@ SessionManager::SessionFactory adaptive_factory(const GatewayConfig& cfg,
   };
 }
 
-// Worker stalls sleep for real (when enabled) but never beyond a cap, so
-// a hostile spec cannot wedge a worker.
-void stall_sleep(bool enabled, std::uint32_t us) {
-  if (!enabled || us == 0) return;
-  std::this_thread::sleep_for(std::min(std::chrono::microseconds(us),
-                                       std::chrono::microseconds(20'000)));
+std::unique_ptr<FaultPlan> make_fault_plan(const GatewayConfig& cfg) {
+  if (!cfg.faults.any()) return nullptr;
+  const std::uint64_t fault_seed =
+      cfg.fault_seed != 0 ? cfg.fault_seed : stats::derive_seed(cfg.seed, kFaultSeedStream);
+  return std::make_unique<FaultPlan>(cfg.faults, fault_seed);
+}
+
+void validate_lanes(const GatewayConfig& cfg) {
+  if (cfg.workers == 0) {
+    throw std::invalid_argument("Gateway: need at least one lane (workers >= 1)");
+  }
+  if (cfg.queue_capacity == 0) {
+    throw std::invalid_argument("Gateway: queue_capacity must be >= 1");
+  }
 }
 
 }  // namespace
@@ -89,6 +98,7 @@ Gateway::Gateway(const GatewayConfig& cfg, Sink sink)
 Gateway::Gateway(const GatewayConfig& cfg, SessionManager::SessionFactory factory, Sink sink)
     : cfg_(cfg), sink_(std::move(sink)) {
   if (!sink_) throw std::invalid_argument("Gateway: sink must be callable");
+  validate_lanes(cfg_);
   cfg_.resilience.validate();
   // ε histogram sized to the budget: spend can never legitimately
   // exceed it, so overflow in the ε histogram would itself be a bug
@@ -105,15 +115,8 @@ Gateway::Gateway(const GatewayConfig& cfg, SessionManager::SessionFactory factor
                                           : default_factory(cfg_);
   }
   sessions_ = std::make_unique<SessionManager>(cfg.sessions, std::move(factory), telemetry_.get());
-  if (cfg_.faults.any()) {
-    const std::uint64_t fault_seed =
-        cfg_.fault_seed != 0 ? cfg_.fault_seed : stats::derive_seed(cfg_.seed, kFaultSeedStream);
-    plan_ = std::make_unique<FaultPlan>(cfg_.faults, fault_seed);
-  }
-  breakers_.assign(cfg.workers, CircuitBreaker(cfg_.resilience.breaker));
-  pool_ = std::make_unique<WorkerPool>(
-      cfg.workers, cfg.queue_capacity,
-      [this](std::size_t worker, const Request& r) { handle(worker, r); });
+  plan_ = make_fault_plan(cfg_);
+  lanes_.assign(cfg_.workers, Lane(cfg_.resilience.breaker));
 }
 
 Gateway::~Gateway() { drain(); }
@@ -121,46 +124,85 @@ Gateway::~Gateway() { drain(); }
 bool Gateway::submit(const std::string& user_id, const trace::Event& event, std::uint64_t cookie) {
   obs::Span submit_span("service", "gateway.submit");
   telemetry_->record_received();
-  Request r;
-  r.user_id = user_id;
-  r.event = event;
-  r.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  r.cookie = cookie;
-  obs::Tracer& tracer = obs::Tracer::instance();
-  if (tracer.enabled()) r.enqueue_ns = tracer.now_ns();
+  const std::uint64_t seq = next_seq_++;
+  if (drained_) {
+    reject(user_id, event, seq, cookie);
+    return false;
+  }
+  release_due(Clock::now());
 
   // Injected queue-overflow burst: a deterministic (seq-scheduled)
   // rejection exercising the same degradation path a real overflow
-  // takes, without depending on queue timing.
-  const bool burst = plan_ != nullptr && plan_->burst_reject(r.seq);
-  if (burst) telemetry_->record_injected_burst_reject();
-  if (!burst && pool_->submit(std::move(r))) return true;
-
+  // takes, without depending on lane timing.
+  if (plan_ != nullptr && plan_->burst_reject(seq)) {
+    telemetry_->record_injected_burst_reject();
+    reject(user_id, event, seq, cookie);
+    return false;
+  }
+  const std::uint64_t user_hash = stable_hash64(user_id);
+  const std::size_t index = user_hash % lanes_.size();
+  Lane& lane = lanes_[index];
   // Backpressure: degrade gracefully by answering with a suppression
-  // right here instead of queueing without bound.
-  telemetry_->record_rejected_queue_full();
-  ProtectedReport out;
-  out.user_id = user_id;
-  out.seq = r.seq;
-  out.original = event;
-  out.status = ReportStatus::rejected_queue_full;
-  out.cookie = cookie;
-  sink_(out);
-  return false;
+  // right here instead of holding answers without bound.
+  if (lane.held.size() >= cfg_.queue_capacity) {
+    reject(user_id, event, seq, cookie);
+    return false;
+  }
+
+  std::chrono::microseconds hold{0};
+  ProtectedReport out = handle(index, user_hash, user_id, event, seq, cookie, hold);
+  if (hold.count() == 0 && lane.held.empty()) {
+    sink_(out);
+    return true;
+  }
+  // One downstream call in flight per lane: this one starts when the
+  // lane's previous call completes.
+  const Clock::time_point due = std::max(Clock::now(), lane.free_at) + hold;
+  lane.free_at = due;
+  lane.held.push_back(Held{due, std::move(out)});
+  return true;
 }
 
-void Gateway::drain() { pool_->drain(); }
+std::optional<Gateway::Clock::time_point> Gateway::next_due() const {
+  std::optional<Clock::time_point> earliest;
+  for (const Lane& lane : lanes_) {
+    if (!lane.held.empty() && (!earliest || lane.held.front().due < *earliest)) {
+      earliest = lane.held.front().due;
+    }
+  }
+  return earliest;
+}
+
+void Gateway::release_due(Clock::time_point now) {
+  for (Lane& lane : lanes_) {
+    while (!lane.held.empty() && lane.held.front().due <= now) {
+      const ProtectedReport out = std::move(lane.held.front().report);
+      lane.held.pop_front();
+      sink_(out);
+    }
+  }
+}
+
+void Gateway::release_all() {
+  while (const std::optional<Clock::time_point> due = next_due()) {
+    std::this_thread::sleep_until(*due);
+    release_due(Clock::now());
+  }
+}
+
+void Gateway::drain() {
+  release_all();
+  drained_ = true;
+}
 
 void Gateway::reload(const GatewayConfig& next, SessionManager::SessionFactory factory) {
-  pool_->drain();
-
   GatewayConfig cfg = next;
   cfg.sessions = cfg_.sessions;  // the live SessionManager keeps its config
+  validate_lanes(cfg);
   cfg.resilience.validate();
-  // Build the factory before committing anything: an invalid
-  // ObjectiveSpec throws here and the old configuration stays in force
-  // (workers are down either way; the caller decides whether to retry
-  // or tear the gateway down).
+  // Build everything that can throw before touching any state: an
+  // invalid ObjectiveSpec, an unknown metric or a bad fault spec throws
+  // here and the old policy stays in force, lanes and all.
   std::unique_ptr<adaptive::ControlLog> control_log;
   if (cfg.objectives.has_value() && control_log_ == nullptr) {
     control_log = std::make_unique<adaptive::ControlLog>();
@@ -169,46 +211,49 @@ void Gateway::reload(const GatewayConfig& next, SessionManager::SessionFactory f
   if (!factory) {
     factory = cfg.objectives.has_value() ? adaptive_factory(cfg, log) : default_factory(cfg);
   }
+  std::unique_ptr<FaultPlan> plan = make_fault_plan(cfg);
 
-  cfg_ = cfg;
+  // Answers held under the old policy go out before its lanes are
+  // replaced.
+  release_all();
+  cfg_ = std::move(cfg);
   if (control_log != nullptr) control_log_ = std::move(control_log);
   sessions_->set_factory(std::move(factory));
-  plan_.reset();
-  if (cfg_.faults.any()) {
-    const std::uint64_t fault_seed =
-        cfg_.fault_seed != 0 ? cfg_.fault_seed : stats::derive_seed(cfg_.seed, kFaultSeedStream);
-    plan_ = std::make_unique<FaultPlan>(cfg_.faults, fault_seed);
-  }
-  breakers_.assign(cfg_.workers, CircuitBreaker(cfg_.resilience.breaker));
-  pool_ = std::make_unique<WorkerPool>(
-      cfg_.workers, cfg_.queue_capacity,
-      [this](std::size_t worker, const Request& r) { handle(worker, r); });
+  plan_ = std::move(plan);
+  lanes_.assign(cfg_.workers, Lane(cfg_.resilience.breaker));
 }
 
-void Gateway::handle(std::size_t worker, const Request& r) {
-  obs::Span handle_span("service", "worker.handle");
-  handle_span.arg("worker", static_cast<double>(worker)).arg("seq", static_cast<double>(r.seq));
-  if (r.enqueue_ns != 0) {
-    // Queue-wait attribution: time between gateway submit and this
-    // worker picking the request up.
-    const std::uint64_t now = obs::Tracer::instance().now_ns();
-    const std::uint64_t wait = now > r.enqueue_ns ? now - r.enqueue_ns : 0;
-    handle_span.arg("queue_wait_us", static_cast<double>(wait) / 1e3);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t uhash = stable_hash64(r.user_id);
+void Gateway::reject(const std::string& user_id, const trace::Event& event, std::uint64_t seq,
+                     std::uint64_t cookie) {
+  telemetry_->record_rejected_queue_full();
+  ProtectedReport out;
+  out.user_id = user_id;
+  out.seq = seq;
+  out.original = event;
+  out.status = ReportStatus::rejected_queue_full;
+  out.cookie = cookie;
+  sink_(out);
+}
 
-  // Injected worker stall and client clock skew. The skewed timestamp
+ProtectedReport Gateway::handle(std::size_t lane, std::uint64_t user_hash,
+                                const std::string& user_id, const trace::Event& original,
+                                std::uint64_t seq, std::uint64_t cookie,
+                                std::chrono::microseconds& hold) {
+  obs::Span handle_span("service", "worker.handle");
+  handle_span.arg("lane", static_cast<double>(lane)).arg("seq", static_cast<double>(seq));
+  const auto t0 = Clock::now();
+
+  // Injected stall and client clock skew. The skewed timestamp
   // *is* the report's timestamp from here on — a client with a wrong
   // clock stamps its reports with it — so budget accounting, idle
   // eviction and the output event all see the skewed value.
-  trace::Event event = r.event;
+  trace::Event event = original;
   if (plan_ != nullptr) {
-    if (const std::uint32_t stall = plan_->stall_us(uhash, r.seq); stall > 0) {
+    if (const std::uint32_t stall = plan_->stall_us(user_hash, seq); stall > 0) {
       telemetry_->record_worker_stall();
-      stall_sleep(cfg_.resilience.sleep_for_real, stall);
+      hold += real_hold(cfg_.resilience, stall);
     }
-    if (const trace::Timestamp skew = plan_->clock_skew_s(uhash, r.seq); skew != 0) {
+    if (const trace::Timestamp skew = plan_->clock_skew_s(user_hash, seq); skew != 0) {
       telemetry_->record_clock_skew();
       event.time = std::max<trace::Timestamp>(0, event.time + skew);
     }
@@ -218,11 +263,11 @@ void Gateway::handle(std::size_t worker, const Request& r) {
   double eps_spent = std::numeric_limits<double>::quiet_NaN();
   {
     obs::Span session_span("service", "session.report");
-    SessionManager::LockedSession locked = sessions_->acquire(r.user_id, event.time);
+    SessionManager::LockedSession locked = sessions_->acquire(user_id, event.time);
     // A backwards clock — injected skew here, a genuinely dirty client in
     // production — is clamped to the user's previous report time by the
     // session manager: budget accounting requires monotone time, and a
-    // bad timestamp must degrade, not kill the worker.
+    // bad timestamp must degrade, not kill the gateway.
     if (locked.time_clamped()) {
       telemetry_->record_timestamp_clamped();
       event.time = locked.monotonic_time();
@@ -246,11 +291,12 @@ void Gateway::handle(std::size_t worker, const Request& r) {
   if (protected_event.has_value() && downstream_active) {
     obs::Span downstream_span("service", "downstream.call");
     const DownstreamCallResult call = resilient_downstream_call(
-        cfg_.resilience, plan_.get(), &breakers_[worker], telemetry_.get(), uhash, r.seq,
+        cfg_.resilience, plan_.get(), &lanes_[lane].breaker, telemetry_.get(), user_hash, seq,
         event.time, cfg_.downstream_latency);
     downstream_span.arg("attempts", static_cast<double>(call.attempts))
         .arg("ok", call.ok ? 1.0 : 0.0);
     attempts = call.attempts;
+    hold += call.hold;
     if (!call.ok) {
       if (cfg_.resilience.policy == DegradePolicy::fallback_cloak) {
         // Answer with a coarse grid-cloaked point instead of dropping.
@@ -266,10 +312,10 @@ void Gateway::handle(std::size_t worker, const Request& r) {
     }
   }
 
-  const auto t1 = std::chrono::steady_clock::now();
+  // Service time: processing plus the downstream wait the answer is
+  // held for.
   const double latency_us =
-      std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(t1 - t0).count();
-
+      std::chrono::duration<double, std::micro>(Clock::now() - t0 + hold).count();
   switch (status) {
     case ReportStatus::delivered:
       telemetry_->record_delivered(latency_us, eps_spent);
@@ -288,14 +334,14 @@ void Gateway::handle(std::size_t worker, const Request& r) {
   }
 
   ProtectedReport out;
-  out.user_id = r.user_id;
-  out.seq = r.seq;
-  out.original = r.event;
-  out.protected_event = protected_event;
+  out.user_id = user_id;
+  out.seq = seq;
+  out.original = original;
+  out.protected_event = std::move(protected_event);
   out.status = status;
   out.downstream_attempts = attempts;
-  out.cookie = r.cookie;
-  sink_(out);
+  out.cookie = cookie;
+  return out;
 }
 
 }  // namespace locpriv::service

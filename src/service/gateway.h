@@ -1,23 +1,29 @@
-// The obfuscation gateway: the concurrent serving front end of the
-// framework.
+// The obfuscation gateway: the serving core of the framework, run to
+// completion on the thread that drives it.
 //
 // An app server pushes raw location reports in with submit(); protected
-// (or suppressed) reports come back through a sink callback. Inside:
-// a worker pool with per-worker bounded queues (user-hash routed, see
-// worker_pool.h), a sharded session manager holding each user's
-// StreamSession + ε budget, and a telemetry layer counting every
-// outcome. Every submitted report is answered through the sink exactly
-// once — delivered, suppressed by budget, or rejected by backpressure.
+// (or suppressed) reports come back through a sink callback. submit()
+// protects the report on the calling thread: a sharded session manager
+// holds each user's StreamSession + ε budget, and a telemetry layer
+// counts every outcome. The simulated downstream LBS call is the only
+// wait, and nothing sleeps for it: each answer is held in one of
+// `workers` *lanes* (user-hash routed) until its downstream delay has
+// passed. A lane is a FIFO with one downstream call in flight, so W
+// lanes overlap W downstream waits without W threads. The driver —
+// the shard's event loop, or a replay loop — calls release_due() as
+// time passes, bounded by next_due(). Every submitted report is
+// answered through the sink exactly once — delivered, suppressed by
+// budget, or rejected by backpressure.
 //
 // The default session factory instantiates the paper's deployment mode:
 // BudgetedGeoIndSession with the configured ε and sliding-window budget,
 // seeded per user with derive_seed(seed, stable_hash64(user)) so any
-// replay of the same stream is bit-identical regardless of worker count.
+// replay of the same stream is bit-identical regardless of lane count.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -28,7 +34,6 @@
 #include "service/resilience/resilience.h"
 #include "service/session_manager.h"
 #include "service/telemetry.h"
-#include "service/worker_pool.h"
 #include "trace/event.h"
 
 namespace locpriv::service {
@@ -64,13 +69,17 @@ struct ProtectedReport {
   /// downstream configured).
   std::uint32_t downstream_attempts = 0;
   /// The cookie passed to submit(), echoed back verbatim (0 for the
-  /// cookie-less overload). See Request::cookie.
+  /// cookie-less overload): an opaque caller correlator. The network
+  /// front end stores a connection handle here so an answer can find
+  /// its way back to the socket that submitted the report.
   std::uint64_t cookie = 0;
 };
 
 struct GatewayConfig {
+  /// Downstream lanes: answers held for the downstream call, each lane
+  /// with one call in flight (>= 1).
   std::size_t workers = 4;
-  std::size_t queue_capacity = 1024;  ///< per worker
+  std::size_t queue_capacity = 1024;  ///< held answers per lane (>= 1)
   SessionManagerConfig sessions;
 
   // Default (Geo-I) session factory parameters.
@@ -81,7 +90,8 @@ struct GatewayConfig {
 
   /// Simulated downstream LBS round-trip per delivered report. A real
   /// gateway forwards the protected event to the service and awaits the
-  /// answer; this models that wait in benches/simulations. Zero = off.
+  /// answer; this models that wait in benches/simulations by holding the
+  /// answer in its lane (see ResilienceConfig::sleep_for_real). Zero = off.
   std::chrono::microseconds downstream_latency{0};
 
   /// Fault injection: an all-zero spec (the default) injects nothing.
@@ -108,51 +118,64 @@ struct GatewayConfig {
 
 class Gateway {
  public:
-  /// Receives every answer. Called from worker threads (and from the
-  /// submitting thread for backpressure rejections) — must be
-  /// thread-safe. Calls for one user never overlap and arrive in
-  /// submission order.
+  using Clock = std::chrono::steady_clock;
+
+  /// Receives every answer, on the thread that drives the gateway
+  /// (inside submit(), release_due() or drain()); calls never run
+  /// concurrently, and a sink must not call back into the gateway. One
+  /// user's answers arrive in submission order, except that a
+  /// backpressure rejection is answered at once and may overtake the
+  /// user's held answers.
   using Sink = std::function<void(const ProtectedReport&)>;
 
-  /// Gateway with the default budgeted Geo-I session per user.
+  /// Gateway with the default budgeted Geo-I session per user. Throws
+  /// std::invalid_argument when `workers` or `queue_capacity` is 0.
   Gateway(const GatewayConfig& cfg, Sink sink);
   /// Gateway with a custom per-user session factory (any streaming LPPM).
   Gateway(const GatewayConfig& cfg, SessionManager::SessionFactory factory, Sink sink);
 
-  /// Drains remaining accepted requests, then stops the workers.
+  /// Drains: every held answer reaches the sink first.
   ~Gateway();
 
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// Submits one report. Never blocks: when the user's worker queue is
-  /// full the report is answered immediately (from this thread) with
+  /// Protects one report on the calling thread, after releasing every
+  /// answer already due. Never blocks: when the user's lane already
+  /// holds `queue_capacity` answers the report is answered at once with
   /// rejected_queue_full and false is returned. True = accepted; the
-  /// answer will arrive through the sink. `cookie` is an opaque caller
-  /// correlator echoed back on the answer (ProtectedReport::cookie).
+  /// answer reaches the sink before submit() returns when it owes no
+  /// downstream wait and its lane is empty, otherwise from a later
+  /// release_due(). `cookie` is an opaque caller correlator echoed back
+  /// on the answer (ProtectedReport::cookie).
   bool submit(const std::string& user_id, const trace::Event& event, std::uint64_t cookie = 0);
 
-  /// Processes everything accepted so far and stops the workers.
-  /// submit() refuses afterwards. Idempotent.
+  /// When the earliest held answer is due; nullopt when none is held.
+  [[nodiscard]] std::optional<Clock::time_point> next_due() const;
+
+  /// Hands every answer due by `now` to the sink, each lane in FIFO
+  /// order. Answers are never released early.
+  void release_due(Clock::time_point now);
+
+  /// Sleeps until each held answer is due and releases it; submit()
+  /// refuses afterwards. Idempotent.
   void drain();
 
-  /// Hot-reloads policy without dropping session state: drains the
-  /// worker pool, swaps in `next`'s factory parameters, objectives,
-  /// fault schedule and resilience policy, then rebuilds breakers and
-  /// workers. The SessionManager survives — live sessions keep their ε
-  /// budgets and their old policy until evicted; only sessions created
-  /// after the reload see the new one (`next.sessions` is ignored for
-  /// the same reason). Pass a `factory` to swap in a custom session
-  /// factory; empty = the configured default. Not thread-safe against
-  /// submit(): the caller stops submitting, reloads, then resumes —
-  /// the shard server's event loop gives this for free. Throws
-  /// std::invalid_argument when `next` fails validation, leaving the
-  /// gateway drained but consistent.
+  /// Hot-reloads policy without dropping session state. Everything that
+  /// can throw — validation, the session factory with its metrics, the
+  /// fault schedule — is built first: on std::invalid_argument the old
+  /// policy stays in force and the gateway keeps serving. Then held
+  /// answers are released (sleeping until due), and `next`'s factory
+  /// parameters, objectives, fault schedule, resilience policy and lanes
+  /// are swapped in. The SessionManager survives — live sessions keep
+  /// their ε budgets and their old policy until evicted; only sessions
+  /// created after the reload see the new one (`next.sessions` is
+  /// ignored for the same reason). Pass a `factory` to swap in a custom
+  /// session factory; empty = the configured default.
   void reload(const GatewayConfig& next, SessionManager::SessionFactory factory = {});
 
   [[nodiscard]] const Telemetry& telemetry() const { return *telemetry_; }
   [[nodiscard]] std::size_t active_sessions() const { return sessions_->session_count(); }
-  [[nodiscard]] std::size_t queued() const { return pool_->queued(); }
   /// The active fault schedule; nullptr when no faults are configured.
   [[nodiscard]] const FaultPlan* fault_plan() const { return plan_.get(); }
   /// Every control decision made so far; nullptr when `objectives` is
@@ -160,7 +183,28 @@ class Gateway {
   [[nodiscard]] const adaptive::ControlLog* control_log() const { return control_log_.get(); }
 
  private:
-  void handle(std::size_t worker, const Request& r);
+  struct Held {
+    Clock::time_point due;
+    ProtectedReport report;
+  };
+  /// One downstream lane: the circuit breaker of its calls, when its
+  /// call in flight completes, and the answers waiting on it.
+  struct Lane {
+    explicit Lane(const CircuitBreakerConfig& breaker_cfg) : breaker(breaker_cfg) {}
+    CircuitBreaker breaker;
+    Clock::time_point free_at{};
+    std::deque<Held> held;
+  };
+
+  /// Protects one report and runs its downstream call; `hold` receives
+  /// the real-time wait the answer owes (0 when nothing is held).
+  ProtectedReport handle(std::size_t lane, std::uint64_t user_hash, const std::string& user_id,
+                         const trace::Event& event, std::uint64_t seq, std::uint64_t cookie,
+                         std::chrono::microseconds& hold);
+  void reject(const std::string& user_id, const trace::Event& event, std::uint64_t seq,
+              std::uint64_t cookie);
+  /// Releases every held answer, sleeping until each is due.
+  void release_all();
 
   GatewayConfig cfg_;
   Sink sink_;
@@ -168,9 +212,9 @@ class Gateway {
   std::unique_ptr<adaptive::ControlLog> control_log_;  ///< null = static ε
   std::unique_ptr<SessionManager> sessions_;
   std::unique_ptr<FaultPlan> plan_;  ///< null = no injection
-  std::vector<CircuitBreaker> breakers_;  ///< one per worker; worker-local
-  std::unique_ptr<WorkerPool> pool_;  ///< last member: workers die first
-  std::atomic<std::uint64_t> next_seq_{0};
+  std::vector<Lane> lanes_;
+  std::uint64_t next_seq_ = 0;
+  bool drained_ = false;
 };
 
 }  // namespace locpriv::service

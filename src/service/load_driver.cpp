@@ -30,6 +30,11 @@ LoadResult replay_dataset(const trace::Dataset& data, Gateway& gateway,
       const auto due = wall_start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                                         std::chrono::duration<double>(stream_elapsed /
                                                                       cfg.rate_multiplier));
+      // Held answers falling due before the next report go out on time.
+      for (auto held = gateway.next_due(); held && *held < due; held = gateway.next_due()) {
+        std::this_thread::sleep_until(*held);
+        gateway.release_due(Gateway::Clock::now());
+      }
       std::this_thread::sleep_until(due);
     }
     ++result.submitted;

@@ -32,9 +32,10 @@ struct LoadResult {
   double events_per_sec = 0.0;
 };
 
-/// Replays `data` through `gateway`, then drains it. The merged stream
-/// is deterministic in the dataset alone; with one worker the gateway
-/// output is too.
+/// Replays `data` through `gateway` on the calling thread (releasing
+/// held answers as it goes), then drains it. The merged stream is
+/// deterministic in the dataset alone, and so is the gateway output
+/// whenever no lane overflows.
 LoadResult replay_dataset(const trace::Dataset& data, Gateway& gateway,
                           const LoadDriverConfig& cfg = {});
 

@@ -6,12 +6,12 @@
 // threshold, short-circuits calls for a cooldown period, then lets one
 // probe through (half-open) to test recovery.
 //
-// Determinism: the breaker is owned by one worker and mutated only from
-// that worker's thread, and its cooldown is measured in *stream time*
-// (report timestamps), not wall time. A worker's request sequence is a
-// deterministic function of the submitted stream, so breaker decisions
-// — and therefore the gateway's output — are bit-reproducible for a
-// fixed worker count.
+// Determinism: the breaker is owned by one gateway lane and sees that
+// lane's reports in submission order, and its cooldown is measured in
+// *stream time* (report timestamps), not wall time. A lane's request
+// sequence is a deterministic function of the submitted stream, so
+// breaker decisions — and therefore the gateway's output — are
+// bit-reproducible for a fixed lane count.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,12 @@
 //
 // A FaultPlan is a pure function of (spec, seed): every question about a
 // request — does its downstream call fail? how long does it take? does
-// the worker stall first? how skewed is the client clock? does the
+// the gateway stall first? how skewed is the client clock? does the
 // submission land in an overflow burst? — is answered by hashing the
 // request's identity (user hash, global sequence number, attempt index)
 // into the plan's seed space. No global counters, no wall clock, no
 // shared state: the same seed produces the same chaos bit for bit,
-// regardless of worker count or scheduling, which is what makes chaos
+// regardless of lane count or scheduling, which is what makes chaos
 // runs reproducible and ctest-able. Tests reconcile telemetry against
 // the schedule by replaying the same pure functions offline.
 #pragma once
@@ -29,8 +29,8 @@ struct FaultSpec {
   double latency_probability = 0.0;    ///< P(attempt incurs a latency spike)
   std::uint32_t latency_spike_us = 0;  ///< spike magnitude, simulated µs
 
-  // Worker stalls, per request: the worker freezes before protecting
-  // (GC pause, page fault, noisy neighbour).
+  // Gateway stalls, per request: protection is delayed (GC pause, page
+  // fault, noisy neighbour), and the answer is held in its lane for it.
   double stall_probability = 0.0;
   std::uint32_t stall_us = 0;
 

@@ -1,25 +1,13 @@
 #include "service/resilience/resilience.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "service/telemetry.h"
 #include "stats/rng.h"
 
 namespace locpriv::service {
-namespace {
-
-// Real sleeps are capped so a hostile fault spec cannot wedge a worker;
-// virtual time (what decisions use) is never capped.
-constexpr std::chrono::microseconds kMaxRealSleep{20'000};
-
-void maybe_sleep(bool enabled, std::uint64_t us) {
-  if (!enabled || us == 0) return;
-  std::this_thread::sleep_for(std::min(std::chrono::microseconds(us), kMaxRealSleep));
-}
-
-}  // namespace
 
 const char* to_string(DegradePolicy p) {
   switch (p) {
@@ -36,6 +24,11 @@ DegradePolicy parse_degrade_policy(std::string_view s) {
   if (s == "fallback_cloak") return DegradePolicy::fallback_cloak;
   throw std::invalid_argument("unknown degradation policy '" + std::string(s) +
                               "' (retry | suppress | fallback_cloak)");
+}
+
+std::chrono::microseconds real_hold(const ResilienceConfig& cfg, std::uint64_t us) {
+  if (!cfg.sleep_for_real) return std::chrono::microseconds(0);
+  return std::chrono::microseconds(std::min<std::uint64_t>(us, 20'000));
 }
 
 void ResilienceConfig::validate() const {
@@ -69,7 +62,7 @@ DownstreamCallResult resilient_downstream_call(const ResilienceConfig& cfg, cons
     result.virtual_elapsed_us += latency_us;
     ++result.attempts;
     if (telemetry != nullptr) telemetry->record_downstream_attempt();
-    maybe_sleep(cfg.sleep_for_real, latency_us);
+    result.hold += real_hold(cfg, latency_us);
 
     if (!outcome.failed) {
       if (breaker != nullptr) breaker->on_success();
@@ -96,7 +89,7 @@ DownstreamCallResult resilient_downstream_call(const ResilienceConfig& cfg, cons
       return result;
     }
     if (telemetry != nullptr) telemetry->record_retry(delay_us);
-    maybe_sleep(cfg.sleep_for_real, delay_us);
+    result.hold += real_hold(cfg, delay_us);
   }
 }
 

@@ -10,9 +10,11 @@
 //
 // Two clocks, deliberately separate: *decisions* (deadline, breaker
 // cooldown) run on virtual time — simulated attempt latencies and
-// backoff delays summed deterministically — while *sleeping* those
-// delays for real is optional and never influences the outcome. That is
-// how a chaos soak can be realistic and bit-reproducible at once.
+// backoff delays summed deterministically — while holding the answer
+// for those delays in real time is optional and never influences the
+// outcome. Nothing here sleeps: the call returns the real-time hold and
+// the gateway's lane keeps the answer that long. That is how a chaos
+// soak can be realistic and bit-reproducible at once.
 #pragma once
 
 #include <chrono>
@@ -52,9 +54,10 @@ struct ResilienceConfig {
   CircuitBreakerConfig breaker;
   /// Cell edge (meters) of the fallback cloaking grid.
   double fallback_cell_m = 5'000.0;
-  /// Sleep simulated latencies/stalls/backoffs for real (soak realism;
-  /// also how GatewayConfig::downstream_latency has always behaved).
-  /// Decisions never depend on this; tests turn it off for speed.
+  /// Hold answers in real time for simulated latencies, stalls and
+  /// backoffs (soak realism; also how GatewayConfig::downstream_latency
+  /// has always behaved). Decisions never depend on this; tests turn it
+  /// off for speed.
   bool sleep_for_real = true;
 
   void validate() const;  ///< throws std::invalid_argument
@@ -67,7 +70,15 @@ struct DownstreamCallResult {
   bool short_circuited = false;   ///< breaker refused (possibly after some attempts)
   bool deadline_exceeded = false; ///< virtual deadline ran out before success
   std::uint64_t virtual_elapsed_us = 0;  ///< simulated latency + backoff total
+  /// Real time the answer is held for this call: every attempt latency
+  /// and backoff through real_hold(). Zero unless sleep_for_real is set.
+  std::chrono::microseconds hold{0};
 };
+
+/// Real time a simulated delay of `us` holds an answer: `us` capped at
+/// 20 ms, so a hostile fault spec cannot wedge a lane, or zero when
+/// `cfg.sleep_for_real` is off. Virtual time is never capped.
+[[nodiscard]] std::chrono::microseconds real_hold(const ResilienceConfig& cfg, std::uint64_t us);
 
 /// Executes one downstream call for report (`user_hash`, `seq`) under
 /// `cfg`. `plan` may be null (no injected faults: the call succeeds on

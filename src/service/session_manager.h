@@ -53,8 +53,8 @@ struct SessionManagerConfig {
 };
 
 /// Lock-striped user-id -> StreamSession map. Thread-safe; the per-shard
-/// mutex additionally serializes session use, which together with the
-/// worker pool's hash routing gives each user a single-threaded view.
+/// mutex additionally serializes session use, so each user's session
+/// sees one report at a time even when several threads acquire.
 class SessionManager {
  public:
   /// Builds the per-user session on first report. Must be thread-safe

@@ -1,6 +1,7 @@
 #include "service/shard/shard_server.h"
 
 #include <cerrno>
+#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -14,10 +15,10 @@
 namespace locpriv::service::shard {
 namespace {
 
-/// Outbox backlog (bytes) above which a connection stops being read.
-constexpr std::size_t kOutboxHighWater = 1u << 20;
+/// Unwritten backlog (bytes) above which a connection stops being read.
+constexpr std::size_t kBacklogHighWater = 1u << 20;
 /// Backlog below which a paused connection resumes.
-constexpr std::size_t kOutboxLowWater = 1u << 18;
+constexpr std::size_t kBacklogLowWater = 1u << 18;
 
 }  // namespace
 
@@ -29,7 +30,6 @@ ShardServer::ShardServer(ShardServerConfig cfg, net::Fd control) : cfg_(std::mov
     Conn conn;
     conn.fd = std::move(control);
     conn.serial = serial;
-    conn.outbox = std::make_shared<Outbox>();
     conn.is_control = true;
     conns_.emplace(serial, std::move(conn));
     control_serial_ = serial;
@@ -93,7 +93,15 @@ bool ShardServer::start() {
 void ShardServer::stop() { loop_.stop(); }
 
 int ShardServer::run_once(int timeout_ms) {
+  if (const auto due = gateway_->next_due()) {
+    // Round up: a held answer is never released early, and at most
+    // about a millisecond late.
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(*due - Gateway::Clock::now());
+    const int until_due = wait.count() > 0 ? static_cast<int>(wait.count()) : 0;
+    if (timeout_ms < 0 || until_due < timeout_ms) timeout_ms = until_due;
+  }
   const int n = loop_.run_once(timeout_ms);
+  gateway_->release_due(Gateway::Clock::now());
   flush_all();
   if (finishing_) {
     bool all_flushed = true;
@@ -118,7 +126,6 @@ void ShardServer::accept_ready() {
     Conn conn;
     conn.fd = std::move(fd);
     conn.serial = serial;
-    conn.outbox = std::make_shared<Outbox>();
     const int raw_fd = conn.fd.get();
     conns_.emplace(serial, std::move(conn));
     if (!loop_.add(raw_fd, net::kEventRead,
@@ -205,27 +212,21 @@ void ShardServer::handle_submit(Conn& conn, const net::Frame& frame) {
     protocol_error(conn, "malformed submit payload");
     return;
   }
-  std::uint64_t cookie;
-  {
-    const std::lock_guard<std::mutex> lock(pending_mutex_);
-    cookie = next_cookie_++;
-    pending_.emplace(cookie, Pending{conn.outbox, payload->tag});
-  }
+  const std::uint64_t cookie = next_cookie_++;
+  pending_.emplace(cookie, Pending{conn.serial, payload->tag});
   // Accepted or rejected, the sink answers exactly once with this
-  // cookie (rejections are answered synchronously from this thread).
+  // cookie, on this thread: inside submit() or from a later release.
   (void)gateway_->submit(payload->user_id, payload->event, cookie);
 }
 
 void ShardServer::on_answer(const ProtectedReport& report) {
-  Pending pending;
-  {
-    const std::lock_guard<std::mutex> lock(pending_mutex_);
-    const auto it = pending_.find(report.cookie);
-    if (it == pending_.end()) return;  // a replayed drain already answered it
-    pending = std::move(it->second);
-    pending_.erase(it);
-  }
+  const auto it = pending_.find(report.cookie);
+  if (it == pending_.end()) return;  // a replayed drain already answered it
+  const Pending pending = it->second;
+  pending_.erase(it);
   if (auditor_ != nullptr) auditor_->record(report);
+  const auto conn = conns_.find(pending.serial);
+  if (conn == conns_.end()) return;  // the submitter hung up
 
   net::AnswerPayload answer;
   answer.tag = pending.tag;
@@ -234,13 +235,10 @@ void ShardServer::on_answer(const ProtectedReport& report) {
   answer.status = report.status;
   answer.protected_event = report.protected_event;
   answer.downstream_attempts = report.downstream_attempts;
-  std::vector<std::uint8_t> payload;
-  encode_answer(answer, payload);
-  {
-    const std::lock_guard<std::mutex> lock(pending.outbox->mutex);
-    encode_frame(net::FrameType::kAnswer, payload.data(), payload.size(), pending.outbox->data);
-  }
-  loop_.wake();
+  answer_payload_.clear();
+  encode_answer(answer, answer_payload_);
+  encode_frame(net::FrameType::kAnswer, answer_payload_.data(), answer_payload_.size(),
+               conn->second.backlog);
 }
 
 void ShardServer::handle_drain(Conn& conn) {
@@ -254,8 +252,8 @@ void ShardServer::handle_drain(Conn& conn) {
       update_interest(c);
     }
   }
-  // Blocks until every accepted report is answered into its outbox;
-  // worker threads never need this (the loop) thread to finish.
+  // Sleeps until every held answer is due and encodes it into its
+  // connection's backlog.
   gateway_->drain();
 
   io::JsonObject reply;
@@ -293,19 +291,19 @@ void ShardServer::handle_reload(Conn& conn, const net::Frame& frame) {
           next.objectives.reset();
         } else {
           next.objectives = adaptive::parse_objective_spec(objective_spec);
-          next.objectives->validate();
         }
       }
     }
+    // Sessions (and their ε budgets) survive — only the policy for new
+    // sessions, the fault schedule and the resilience plumbing change.
+    // A reload that throws (an unknown metric, say) leaves the old
+    // policy serving.
+    gateway_->reload(next);
   } catch (const std::exception& e) {
     send(conn, net::FrameType::kError, std::string("reload rejected: ") + e.what());
     flush(conn);
     return;
   }
-  // Specs are validated; reload itself can no longer throw. Sessions
-  // (and their ε budgets) survive — only the policy for new sessions,
-  // the fault schedule and the resilience plumbing change.
-  gateway_->reload(next);
   cfg_.gateway = next;
 
   io::JsonObject reply;
@@ -323,20 +321,10 @@ void ShardServer::protocol_error(Conn& conn, const std::string& message) {
 }
 
 void ShardServer::send(Conn& conn, net::FrameType type, const std::string& payload) {
-  // Loop thread: append through the outbox so ordering with answers
-  // (which only ever enter via the outbox) is preserved.
-  const std::lock_guard<std::mutex> lock(conn.outbox->mutex);
-  encode_frame(type, payload, conn.outbox->data);
+  encode_frame(type, payload, conn.backlog);
 }
 
 void ShardServer::flush(Conn& conn) {
-  {
-    const std::lock_guard<std::mutex> lock(conn.outbox->mutex);
-    if (!conn.outbox->data.empty()) {
-      conn.backlog.insert(conn.backlog.end(), conn.outbox->data.begin(), conn.outbox->data.end());
-      conn.outbox->data.clear();
-    }
-  }
   while (conn.backlog_pos < conn.backlog.size()) {
     const ssize_t put = net::write_some(conn.fd.get(), conn.backlog.data() + conn.backlog_pos,
                                         conn.backlog.size() - conn.backlog_pos);
@@ -357,9 +345,9 @@ void ShardServer::flush(Conn& conn) {
   }
   const std::size_t queued = conn.backlog.size() - conn.backlog_pos;
   if (!conn.close_after_flush && !draining_) {
-    if (conn.read_paused && queued < kOutboxLowWater) {
+    if (conn.read_paused && queued < kBacklogLowWater) {
       conn.read_paused = false;
-    } else if (!conn.read_paused && queued > kOutboxHighWater) {
+    } else if (!conn.read_paused && queued > kBacklogHighWater) {
       conn.read_paused = true;
     }
   }

@@ -1,24 +1,28 @@
 // One shard of the network gateway: a single-threaded event loop owning
-// one listening socket, N framed client connections, and one Gateway
-// (whose worker threads do the actual protection work).
+// one listening socket, N framed client connections, and one Gateway.
+// A report runs to completion on the loop thread: frame decode →
+// Gateway::submit (session, protect) → kAnswer encoded into the
+// connection's backlog → socket write once the dispatch is done.
 //
-// Threading contract: the event loop thread owns every connection and
-// all protocol state. Gateway worker threads touch exactly two shared
-// structures — the cookie → connection pending map, and per-connection
-// Outboxes (mutex-guarded byte buffers) — then wake() the loop, which
-// flushes outboxes to sockets. Nothing else crosses threads, so the
-// loop never blocks on a worker and a worker never touches a socket.
+// Answer routing: each accepted kSubmit gets a shard-unique cookie,
+// passed to Gateway::submit. The sink runs on the loop thread — inside
+// submit() when the answer owes no downstream wait, otherwise when
+// run_once() releases it at its due time — looks the cookie up, and
+// encodes the kAnswer frame (echoing the client's tag) straight into
+// the submitting connection's backlog. A connection that died in the
+// meantime just drops the answer. The sink never flushes or closes a
+// connection, because it may run inside that very connection's
+// dispatch; run_once() flushes after it.
 //
-// Answer routing: each accepted kSubmit gets a process-unique cookie,
-// submitted to the gateway as Request::cookie. The sink looks the
-// cookie up, encodes the kAnswer frame (echoing the client's tag) into
-// the submitting connection's outbox, and wakes the loop. A connection
-// that died in the meantime just drops the answer.
+// Held answers: run_once() caps its poll timeout at the gateway's next
+// due answer, so an answer held for its downstream delay goes out
+// within about a millisecond of its due time even when no socket is
+// active, and never early.
 //
-// Backpressure: a connection whose outbox + partially-written backlog
-// exceeds the high-water mark stops being read (its kEventRead interest
-// is dropped) until the backlog drains below the low-water mark — a
-// slow reader throttles itself, never the shard.
+// Backpressure: a connection whose unwritten backlog exceeds the
+// high-water mark stops being read (its kEventRead interest is dropped)
+// until the backlog drains below the low-water mark — a slow reader
+// throttles itself, never the shard.
 //
 // Dataset arena: when a dataset path is configured the shard maps the
 // .lpds file (use_mmap, no verify — the supervisor verified it once),
@@ -29,7 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -74,8 +77,10 @@ class ShardServer {
   /// Event loop until a drain completes or stop() is called.
   void run();
 
-  /// One loop iteration plus outbox flushing — the test-driver entry
-  /// point. Returns the number of callbacks dispatched.
+  /// One loop iteration, waiting at most until the next held answer is
+  /// due, then releasing due answers and flushing backlogs — the
+  /// test-driver entry point. Returns the number of callbacks
+  /// dispatched.
   int run_once(int timeout_ms);
 
   void stop();
@@ -93,19 +98,12 @@ class ShardServer {
   [[nodiscard]] std::string telemetry_json() const;
 
  private:
-  /// Thread-crossing answer buffer; see file comment.
-  struct Outbox {
-    std::mutex mutex;
-    std::vector<std::uint8_t> data;
-  };
-
   struct Conn {
     net::Fd fd;
     std::uint64_t serial = 0;
     net::FrameReader reader;
-    std::shared_ptr<Outbox> outbox;
-    /// Loop-owned staging: bytes taken from the outbox (plus direct
-    /// loop-thread replies) not yet accepted by the socket.
+    /// Frames (answers and replies, in the order they were produced)
+    /// not yet accepted by the socket.
     std::vector<std::uint8_t> backlog;
     std::size_t backlog_pos = 0;
     bool is_control = false;
@@ -115,7 +113,7 @@ class ShardServer {
   };
 
   struct Pending {
-    std::shared_ptr<Outbox> outbox;
+    std::uint64_t serial = 0;  ///< the submitting connection
     std::uint64_t tag = 0;
   };
 
@@ -127,15 +125,15 @@ class ShardServer {
   void handle_drain(Conn& conn);
   void handle_reload(Conn& conn, const net::Frame& frame);
   void protocol_error(Conn& conn, const std::string& message);
-  /// Queues a frame on the connection from the loop thread.
+  /// Queues a frame on the connection's backlog.
   void send(Conn& conn, net::FrameType type, const std::string& payload);
-  /// Moves outbox bytes into the backlog and writes what the socket
-  /// takes; manages write interest and read-pause state.
+  /// Writes what the socket takes of the backlog; manages write
+  /// interest and read-pause state.
   void flush(Conn& conn);
   void flush_all();
   void close_conn(std::uint64_t serial);
   void update_interest(Conn& conn);
-  /// The sink: routes one gateway answer to its connection's outbox.
+  /// The sink: routes one gateway answer to its connection's backlog.
   void on_answer(const ProtectedReport& report);
   void finish_drain();
 
@@ -149,16 +147,17 @@ class ShardServer {
   std::uint64_t next_serial_ = 1;
   std::uint64_t control_serial_ = 0;  ///< 0 = no control channel
 
-  std::mutex pending_mutex_;
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  std::unordered_map<std::uint64_t, Pending> pending_;  ///< cookie -> submitter
   std::uint64_t next_cookie_ = 1;
+  std::vector<std::uint8_t> answer_payload_;  ///< reused encode buffer
 
   bool draining_ = false;
   /// Drain reply queued; the loop stops once every backlog is flushed.
   bool finishing_ = false;
   std::uint64_t drain_requester_ = 0;  ///< conn serial to answer, 0 = none
 
-  std::unique_ptr<Gateway> gateway_;  ///< last: workers die before the rest
+  /// Last: its destructor drains held answers into the members above.
+  std::unique_ptr<Gateway> gateway_;
 };
 
 }  // namespace locpriv::service::shard

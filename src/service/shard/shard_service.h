@@ -14,8 +14,8 @@
 // Fork safety: the supervisor stays single-threaded for its entire
 // life — its event loop runs on the calling thread and it never creates
 // another — so fork() (without exec) is always safe here, including
-// re-forks after a shard crash. Gateway worker threads exist only in
-// the children, created after the fork.
+// re-forks after a shard crash. Each child is single-threaded too: its
+// event loop drives its Gateway directly.
 #pragma once
 
 #include <cstdint>

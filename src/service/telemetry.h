@@ -2,8 +2,8 @@
 // hot path, mutex-guarded histograms for distributions, and a JSON
 // snapshot for dashboards / offline analysis.
 //
-// Counters are plain relaxed atomics — every worker bumps them on every
-// report, so they must never contend. The two histograms (service
+// Counters are plain relaxed atomics — the gateway bumps them on every
+// report, and any thread may snapshot them without contending. The two histograms (service
 // latency, per-user ε spend at delivery time) take a short mutex; an
 // add into a fixed-bin stats::Histogram is a handful of instructions,
 // so the critical section is far cheaper than the Laplace sampling it
@@ -67,8 +67,8 @@ struct TelemetrySnapshot {
   double backoff_p95_us = 0.0;
 };
 
-/// Shared telemetry sink. All record_* methods are thread-safe and are
-/// called concurrently by every worker plus the submitting thread.
+/// Shared telemetry sink. All record_* methods are thread-safe; the
+/// gateway calls them from the thread that drives it.
 class Telemetry {
  public:
   /// `latency_hi_us` / `eps_hi` / `backoff_hi_us` bound the histogram

@@ -372,6 +372,7 @@ TEST(GatewayDeterminism, TracingOnAndOffAreBitIdenticalUnderFaults) {
   obs::Tracer::instance().enable();
   run_gateway(cfg, data, traced);
   obs::Tracer::instance().disable();
+  obs::Tracer::instance().flush_this_thread();
   EXPECT_GT(obs::Tracer::instance().collected_spans(), 0u);
   obs::Tracer::instance().reset();
   expect_bit_identical(untraced, traced, "gateway tracing off vs on");

@@ -5,9 +5,12 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "service/adaptive/objective.h"
 #include "service/gateway.h"
 #include "service/load_driver.h"
 #include "service/session_manager.h"
@@ -288,6 +291,108 @@ TEST(Gateway, SubmitAfterDrainIsRejectedNotLost) {
   EXPECT_FALSE(gateway.submit("u", {60, {0, 0}}));
   EXPECT_EQ(capture.total, 2u);  // one delivered, one rejected — both answered
   EXPECT_EQ(capture.by_user.at("u").back().status, ReportStatus::rejected_queue_full);
+}
+
+TEST(Gateway, AnswersReturnInsideSubmitWithoutDownstream) {
+  GatewayConfig cfg = small_config();
+  cfg.workers = 4;
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::size_t answered = 0;
+  Gateway gateway(cfg, [&](const ProtectedReport& r) {
+    EXPECT_EQ(std::this_thread::get_id(), submitter) << "seq " << r.seq;
+    ++answered;
+  });
+  for (std::size_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(gateway.submit("u" + std::to_string(i % 5),
+                               {static_cast<trace::Timestamp>(i * 60), {0, 0}}));
+    EXPECT_EQ(answered, i + 1) << "the answer did not return inside submit()";
+  }
+  EXPECT_FALSE(gateway.next_due().has_value());
+}
+
+TEST(Gateway, HeldAnswersNeverReturnEarlyAndKeepPerUserOrder) {
+  using Clock = Gateway::Clock;
+  GatewayConfig cfg = small_config();
+  cfg.workers = 2;
+  cfg.downstream_latency = std::chrono::milliseconds(2);
+  std::map<std::uint64_t, Clock::time_point> submitted;  // cookie -> before submit()
+  std::vector<ProtectedReport> released;
+  std::vector<Clock::duration> waits;
+  Gateway gateway(cfg, [&](const ProtectedReport& r) {
+    waits.push_back(Clock::now() - submitted.at(r.cookie));
+    released.push_back(r);
+  });
+  constexpr std::uint64_t kReports = 12;
+  for (std::uint64_t i = 0; i < kReports; ++i) {
+    submitted[i] = Clock::now();
+    ASSERT_TRUE(gateway.submit("u" + std::to_string(i % 3),
+                               {static_cast<trace::Timestamp>(i * 60), {0, 0}}, i));
+  }
+  // Poll eagerly: release_due() must hold back whatever is not yet due.
+  while (gateway.next_due().has_value()) gateway.release_due(Clock::now());
+  ASSERT_EQ(released.size(), kReports);
+  for (std::size_t i = 0; i < waits.size(); ++i) {
+    EXPECT_GE(waits[i], std::chrono::milliseconds(2)) << "seq " << released[i].seq;
+  }
+  std::map<std::string, std::uint64_t> last_seq;
+  for (const ProtectedReport& r : released) {
+    EXPECT_EQ(r.status, ReportStatus::delivered);
+    const auto it = last_seq.find(r.user_id);
+    if (it != last_seq.end()) {
+      EXPECT_GT(r.seq, it->second) << "user " << r.user_id;
+    }
+    last_seq[r.user_id] = r.seq;
+  }
+}
+
+TEST(Gateway, LanesOverlapDownstreamWaits) {
+  // Four users that land on four distinct lanes of a 4-lane gateway.
+  std::vector<std::string> users;
+  std::set<std::uint64_t> lanes;
+  for (int k = 0; users.size() < 4; ++k) {
+    const std::string user = "lane-user-" + std::to_string(k);
+    if (lanes.insert(stable_hash64(user) % 4).second) users.push_back(user);
+  }
+  const auto drain_time = [&](std::size_t workers) {
+    GatewayConfig cfg = small_config();
+    cfg.workers = workers;
+    cfg.downstream_latency = std::chrono::milliseconds(20);
+    std::size_t answered = 0;
+    Gateway gateway(cfg, [&](const ProtectedReport&) { ++answered; });
+    const auto t0 = Gateway::Clock::now();
+    for (const std::string& user : users) EXPECT_TRUE(gateway.submit(user, {0, {0, 0}}));
+    gateway.drain();
+    const auto elapsed = Gateway::Clock::now() - t0;
+    EXPECT_EQ(answered, users.size());
+    return elapsed;
+  };
+  // Serially the four 20 ms waits take >= 80 ms.
+  EXPECT_LT(drain_time(4), std::chrono::milliseconds(60));
+  EXPECT_GE(drain_time(1), std::chrono::milliseconds(80));
+}
+
+TEST(Gateway, FailedReloadKeepsServingTheOldPolicy) {
+  Capture capture;
+  Gateway gateway(small_config(), capture.sink());
+  ASSERT_TRUE(gateway.submit("alice", {0, {0, 0}}));
+  ASSERT_TRUE(gateway.submit("bob", {0, {10, 10}}));
+
+  // The spec passes ObjectiveSpec::validate(); the metric name fails
+  // only when the factory resolves it.
+  GatewayConfig next = small_config();
+  next.objectives = adaptive::parse_objective_spec("pr=0.2,pr_tol=0.1,pr_metric=bogus");
+  EXPECT_THROW(gateway.reload(next), std::invalid_argument);
+
+  EXPECT_EQ(gateway.active_sessions(), 2u);
+  EXPECT_EQ(gateway.control_log(), nullptr) << "the static policy must stay in force";
+  for (trace::Timestamp t = 60; t <= 300; t += 60) {
+    EXPECT_TRUE(gateway.submit("alice", {t, {0, 0}}));
+  }
+  gateway.drain();
+  ASSERT_EQ(capture.total, 7u);
+  for (const ProtectedReport& r : capture.by_user.at("alice")) {
+    EXPECT_EQ(r.status, ReportStatus::delivered) << "seq " << r.seq;
+  }
 }
 
 }  // namespace

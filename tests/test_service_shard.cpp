@@ -6,11 +6,14 @@
 // aggregated telemetry, crash + restart + client re-route, drain).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <poll.h>
 #include <set>
 #include <string>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -219,6 +222,70 @@ TEST(ShardServer, ReloadPreservesSessionBudgets) {
   ASSERT_TRUE(conn.recv(frame));
   EXPECT_EQ(frame.type, net::FrameType::kError);
   EXPECT_EQ(submit_one(5, 7200), ReportStatus::delivered);  // new window, same conn
+
+  fx.drain_and_join();
+}
+
+TEST(ShardServer, ReloadWithUnknownMetricIsRejectedAndKeepsServing) {
+  ShardFixture fx(standalone_config("badmetric"));
+  net::Connection conn;
+  ASSERT_TRUE(conn.connect(fx.server.endpoint()));
+
+  // The objective spec parses and validates; only resolving the metric
+  // name fails, inside Gateway::reload.
+  ASSERT_TRUE(conn.send(net::FrameType::kReload,
+                        std::string(R"({"objectives": "pr=0.2,pr_tol=0.1,pr_metric=bogus"})")));
+  net::Frame frame;
+  ASSERT_TRUE(conn.recv(frame)) << conn.error();
+  ASSERT_EQ(frame.type, net::FrameType::kError);
+  const std::string message(frame.payload.begin(), frame.payload.end());
+  EXPECT_NE(message.find("reload rejected"), std::string::npos) << message;
+
+  net::SubmitPayload p;
+  p.tag = 7;
+  p.user_id = "carol";
+  p.event = event_at(0, 1.0, 2.0);
+  ASSERT_TRUE(conn.send_submit(p));
+  ASSERT_TRUE(conn.recv(frame)) << conn.error();
+  ASSERT_EQ(frame.type, net::FrameType::kAnswer);
+  const auto a = net::decode_answer(frame.payload.data(), frame.payload.size());
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->tag, 7u);
+  EXPECT_EQ(a->status, ReportStatus::delivered);
+
+  fx.drain_and_join();
+}
+
+TEST(ShardServer, HeldAnswerIsReleasedWithoutFurtherTraffic) {
+  ShardServerConfig cfg = standalone_config("held");
+  cfg.gateway.downstream_latency = std::chrono::milliseconds(5);
+  ShardFixture fx(std::move(cfg));
+  net::Connection conn;
+  ASSERT_TRUE(conn.connect(fx.server.endpoint()));
+  // Nothing else arrives after the submit: a loop that released held
+  // answers only on socket events would never answer it.
+  const timeval deadline{5, 0};
+  ASSERT_EQ(::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof deadline), 0);
+
+  net::SubmitPayload p;
+  p.tag = 42;
+  p.user_id = "dora";
+  p.event = event_at(0, 3.0, 4.0);
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(conn.send_submit(p));
+  // The ASSERTs return from this lambda only: on a timeout the drain
+  // below still stops the loop thread, so the fixture's join cannot hang.
+  [&] {
+    net::Frame frame;
+    ASSERT_TRUE(conn.recv(frame)) << conn.error();
+    EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(5));
+    ASSERT_EQ(frame.type, net::FrameType::kAnswer);
+    const auto a = net::decode_answer(frame.payload.data(), frame.payload.size());
+    ASSERT_TRUE(a.has_value());
+    EXPECT_EQ(a->tag, 42u);
+    EXPECT_EQ(a->status, ReportStatus::delivered);
+    EXPECT_EQ(a->downstream_attempts, 1u);
+  }();
 
   fx.drain_and_join();
 }

@@ -642,9 +642,10 @@ int cmd_serve_sim(const Args& args) {
             .default_value = "taxi"})
       .add({.name = "users", .help = "synthetic workload: number of users",
             .default_value = "12"})
-      .add({.name = "workers", .help = "gateway worker threads", .default_value = "4"})
+      .add({.name = "workers", .help = "gateway downstream lanes (downstream calls in flight)",
+            .default_value = "4"})
       .add({.name = "shards", .help = "session-manager shard count", .default_value = "8"})
-      .add({.name = "queue-capacity", .help = "per-worker queue slots (backpressure bound)",
+      .add({.name = "queue-capacity", .help = "held answers per lane (backpressure bound)",
             .default_value = "1024"})
       .add({.name = "epsilon", .help = "Geo-I epsilon per report", .default_value = "0.02"})
       .add({.name = "budget-reports", .help = "ε budget per window, in reports",
@@ -822,12 +823,6 @@ int cmd_serve_sim(const Args& args) {
                 << io::Table::num(mv.value, 4) << "\n";
     }
   }
-
-  // Join the workers before exporting anything: the telemetry snapshot
-  // above already saw every accepted request (replay drains), and the
-  // trace export needs the worker threads' span buffers flushed, which
-  // happens at thread exit.
-  gateway.drain();
 
   if (parsed.has("out")) {
     io::JsonObject merged = gateway.telemetry().to_json().as_object();

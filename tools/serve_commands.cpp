@@ -37,8 +37,11 @@ int cmd_serve(const Args& args) {
               .default_value = "unix:/tmp/locpriv.sock"})
       .add({.name = "shards", .help = "gateway worker processes", .default_value = "4"})
       .add({.name = "data", .help = "binary .lpds dataset to map read-only in every shard"})
-      .add({.name = "workers", .help = "gateway worker threads per shard", .default_value = "2"})
-      .add({.name = "queue-capacity", .help = "per-worker queue slots", .default_value = "1024"})
+      .add({.name = "workers",
+            .help = "gateway downstream lanes per shard (downstream calls in flight)",
+            .default_value = "2"})
+      .add({.name = "queue-capacity", .help = "held answers per lane (backpressure bound)",
+            .default_value = "1024"})
       .add({.name = "session-shards", .help = "session-manager stripe count per shard",
             .default_value = "8"})
       .add({.name = "max-sessions", .help = "per-stripe session cap (0 = unbounded)",
