@@ -71,7 +71,6 @@ service::GatewayConfig gateway_config(const BenchParams& p, bool adaptive, std::
   service::GatewayConfig cfg;
   cfg.workers = workers;
   cfg.queue_capacity = 1 << 16;  // the bench measures control, not backpressure
-  cfg.sessions.shard_count = 8;
   cfg.epsilon = p.initial_eps;
   cfg.budget_eps = 1e6;  // budget off the critical path for the same reason
   cfg.budget_window_s = 3600;

@@ -3,7 +3,8 @@
 // 4-shard fleet on the same per-report work.
 //
 // Every delivered report pays a simulated downstream LBS round-trip, so
-// — exactly like bench_service_throughput, but now across PROCESS
+// — exactly like a gateway's lanes within one process (see the
+// Gateway.LanesOverlapDownstreamWaits test), but now across PROCESS
 // boundaries — aggregate throughput scales with shard count because the
 // shards overlap their downstream waits even on one core. Each shard
 // maps the same read-only .lpds dataset; the per-shard RSS sampled
@@ -215,8 +216,7 @@ RunResult run_fleet(const net::Endpoint& base, const std::string& dataset_path,
   cfg.dataset_path = dataset_path;
   cfg.gateway.workers = p.workers;
   cfg.gateway.queue_capacity = p.queue;
-  cfg.gateway.sessions.shard_count = 8;
-  cfg.gateway.sessions.max_sessions_per_shard = 0;  // the fleet IS the session load
+  cfg.gateway.sessions.max_sessions = 0;  // the fleet IS the session load
   cfg.gateway.epsilon = 0.02;
   cfg.gateway.budget_eps = 0.02 * 120.0;
   cfg.gateway.budget_window_s = 3600;

@@ -91,7 +91,6 @@ struct SoakRun {
 SoakRun run_soak(const trace::Dataset& data, service::DegradePolicy policy) {
   service::GatewayConfig cfg;
   cfg.workers = 8;
-  cfg.sessions.shard_count = 16;
   cfg.queue_capacity = 1 << 16;  // real overflow off: bursts are injected
   cfg.epsilon = 0.02;
   cfg.budget_eps = 0.02 * 120.0;

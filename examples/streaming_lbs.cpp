@@ -39,7 +39,6 @@ int main() {
   // Offline calibration said eps = 0.02; budget allows 30 reports per hour.
   service::GatewayConfig cfg;
   cfg.workers = 4;
-  cfg.sessions.shard_count = 8;
   cfg.epsilon = 0.02;
   cfg.budget_eps = 30.0 * cfg.epsilon;
   cfg.budget_window_s = 3600;

@@ -39,6 +39,12 @@ long long ParsedArgs::get_int(const std::string& name) const {
   return *v;
 }
 
+std::size_t ParsedArgs::get_count(const std::string& name) const {
+  const long long v = get_int(name);
+  if (v < 0) throw std::runtime_error("option --" + name + ": '" + get(name) + "' is negative");
+  return static_cast<std::size_t>(v);
+}
+
 bool ParsedArgs::get_flag(const std::string& name) const { return has(name); }
 
 ArgParser::ArgParser(std::string command, std::string description)

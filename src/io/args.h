@@ -5,6 +5,7 @@
 // errors (catching typos beats silently ignoring them).
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -31,6 +32,9 @@ class ParsedArgs {
   [[nodiscard]] const std::string& get(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] long long get_int(const std::string& name) const;
+  /// get_int for counts and sizes: a negative value is an error rather
+  /// than a cast to a huge unsigned number.
+  [[nodiscard]] std::size_t get_count(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 

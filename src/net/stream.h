@@ -1,20 +1,11 @@
-// Exception-free I/O over file descriptors — the dio-style stream layer
-// (after dinit's dinit-iostream, SNIPPETS.md snippet 3).
-//
-// Why not stdlib iostreams: obtaining a useful error message from a
-// failed std::ostream is implementation lottery — the spec allows
-// errno-carrying exceptions but implementations map everything to one
-// message, and the iostream machinery drags in locale state the hot
-// path never needs. This layer is the replacement: every operation
-// returns success/failure, the first failing errno is latched and
-// retrievable, nothing here ever throws, and every syscall is wrapped
-// EINTR-safe with MSG_NOSIGNAL on sockets (see read_some/write_some).
+// Exception-free I/O over file descriptors (after dinit's
+// dinit-iostream, SNIPPETS.md snippet 3): every call returns
+// success/failure with errno, nothing here throws, and every syscall is
+// retried on EINTR, with MSG_NOSIGNAL on sockets.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <sys/types.h>
-#include <vector>
 
 namespace locpriv::net {
 
@@ -37,61 +28,5 @@ namespace locpriv::net {
 /// Blocking loop until all `n` bytes are read. False on EOF-before-n
 /// (errno latched as 0) or on failure (errno latched).
 [[nodiscard]] bool read_exact(int fd, void* buf, std::size_t n, int* err = nullptr);
-
-/// Buffered exception-free writer. After a failure the stream goes bad,
-/// the first errno is latched, and further writes are no-ops — check
-/// good() once at the end and report error_message() with full context.
-class OStream {
- public:
-  explicit OStream(int fd, std::size_t buffer_size = 16 * 1024);
-
-  OStream(const OStream&) = delete;
-  OStream& operator=(const OStream&) = delete;
-
-  /// Buffers `n` bytes, flushing as needed. False once the stream is bad.
-  bool write(const void* data, std::size_t n);
-  bool write(const std::string& s) { return write(s.data(), s.size()); }
-
-  /// Pushes everything buffered to the fd. False once the stream is bad.
-  bool flush();
-
-  [[nodiscard]] bool good() const { return err_ == -1; }
-  /// Latched errno of the first failure; 0 = failed without errno (EOF),
-  /// -1 = no failure.
-  [[nodiscard]] int error() const { return err_; }
-  [[nodiscard]] std::string error_message(const char* what) const;
-
- private:
-  int fd_;
-  std::vector<char> buf_;
-  std::size_t len_ = 0;
-  int err_ = -1;
-};
-
-/// Buffered exception-free reader (blocking fd).
-class IStream {
- public:
-  explicit IStream(int fd, std::size_t buffer_size = 16 * 1024);
-
-  IStream(const IStream&) = delete;
-  IStream& operator=(const IStream&) = delete;
-
-  /// Reads exactly `n` bytes. False on EOF or error; eof() and error()
-  /// distinguish the two.
-  bool read_exact(void* out, std::size_t n);
-
-  [[nodiscard]] bool good() const { return err_ == -1 && !eof_; }
-  [[nodiscard]] bool eof() const { return eof_; }
-  [[nodiscard]] int error() const { return err_; }
-  [[nodiscard]] std::string error_message(const char* what) const;
-
- private:
-  int fd_;
-  std::vector<char> buf_;
-  std::size_t pos_ = 0;
-  std::size_t len_ = 0;
-  int err_ = -1;
-  bool eof_ = false;
-};
 
 }  // namespace locpriv::net

@@ -3,7 +3,7 @@
 //
 // An app server pushes raw location reports in with submit(); protected
 // (or suppressed) reports come back through a sink callback. submit()
-// protects the report on the calling thread: a sharded session manager
+// protects the report on the calling thread: the session table
 // holds each user's StreamSession + ε budget, and a telemetry layer
 // counts every outcome. The simulated downstream LBS call is the only
 // wait, and nothing sleeps for it: each answer is held in one of

@@ -10,41 +10,30 @@ namespace locpriv::service {
 
 SessionManager::SessionManager(SessionManagerConfig cfg, SessionFactory factory,
                                Telemetry* telemetry)
-    : cfg_(cfg), factory_(std::move(factory)), telemetry_(telemetry) {
-  if (cfg_.shard_count == 0) {
-    throw std::invalid_argument("SessionManager: shard_count must be >= 1");
-  }
+    : cfg_(cfg), telemetry_(telemetry), factory_(std::move(factory)) {
   if (!factory_) throw std::invalid_argument("SessionManager: factory must be callable");
-  shards_.reserve(cfg_.shard_count);
-  for (std::size_t i = 0; i < cfg_.shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
 void SessionManager::set_factory(SessionFactory factory) {
   if (!factory) throw std::invalid_argument("SessionManager: factory must be callable");
-  std::lock_guard lock(factory_mutex_);
+  std::lock_guard lock(mutex_);
   factory_ = std::move(factory);
 }
 
-SessionManager::Shard& SessionManager::shard_for(std::string_view user_id) {
-  return *shards_[stable_hash64(user_id) % shards_.size()];
-}
-
-void SessionManager::evict_due(Shard& shard, trace::Timestamp now) {
+void SessionManager::evict_due(trace::Timestamp now) {
   if (cfg_.idle_timeout_s > 0) {
-    while (!shard.lru.empty()) {
-      const auto it = shard.sessions.find(shard.lru.back());
+    while (!lru_.empty()) {
+      const auto it = sessions_.find(lru_.back());
       if (it->second.last_active + cfg_.idle_timeout_s > now) break;
-      shard.lru.pop_back();
-      shard.sessions.erase(it);
+      lru_.pop_back();
+      sessions_.erase(it);
       if (telemetry_ != nullptr) telemetry_->record_session_evicted_idle();
     }
   }
-  if (cfg_.max_sessions_per_shard > 0) {
-    while (shard.sessions.size() > cfg_.max_sessions_per_shard) {
-      shard.sessions.erase(shard.lru.back());
-      shard.lru.pop_back();
+  if (cfg_.max_sessions > 0) {
+    while (sessions_.size() > cfg_.max_sessions) {
+      sessions_.erase(lru_.back());
+      lru_.pop_back();
       if (telemetry_ != nullptr) telemetry_->record_session_evicted_lru();
     }
   }
@@ -52,22 +41,18 @@ void SessionManager::evict_due(Shard& shard, trace::Timestamp now) {
 
 SessionManager::LockedSession SessionManager::acquire(const std::string& user_id,
                                                       trace::Timestamp now) {
-  Shard& shard = shard_for(user_id);
-  std::unique_lock lock(shard.mutex);
+  std::unique_lock lock(mutex_);
 
-  auto it = shard.sessions.find(user_id);
-  if (it == shard.sessions.end()) {
+  auto it = sessions_.find(user_id);
+  if (it == sessions_.end()) {
     Entry entry;
-    {
-      std::lock_guard factory_lock(factory_mutex_);
-      entry.session = factory_(user_id);
-    }
-    shard.lru.push_front(user_id);
-    entry.lru_pos = shard.lru.begin();
-    it = shard.sessions.emplace(user_id, std::move(entry)).first;
+    entry.session = factory_(user_id);
+    lru_.push_front(user_id);
+    entry.lru_pos = lru_.begin();
+    it = sessions_.emplace(user_id, std::move(entry)).first;
     if (telemetry_ != nullptr) telemetry_->record_session_created();
-  } else if (it->second.lru_pos != shard.lru.begin()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+  } else if (it->second.lru_pos != lru_.begin()) {
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
   }
   // Sanitize backwards clocks against the user's own history (see the
   // acquire() contract in the header).
@@ -77,17 +62,13 @@ SessionManager::LockedSession SessionManager::acquire(const std::string& user_id
 
   // The current user sits at the LRU front, so eviction (which eats from
   // the back) can never destroy the session being handed out.
-  evict_due(shard, mono);
+  evict_due(mono);
   return LockedSession(std::move(lock), it->second.session.get(), mono, clamped);
 }
 
 std::size_t SessionManager::session_count() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    n += shard->sessions.size();
-  }
-  return n;
+  std::lock_guard lock(mutex_);
+  return sessions_.size();
 }
 
 }  // namespace locpriv::service

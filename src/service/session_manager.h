@@ -1,16 +1,16 @@
-// Sharded per-user session store of the serving gateway.
+// Per-user session store of the serving gateway.
 //
-// Millions of users cannot share one mutex: the map is lock-striped into
-// N independent shards, each owning its users' StreamSessions plus an
-// LRU list. Sessions are created lazily on a user's first report and
-// reclaimed two ways: idle eviction (no report for idle_timeout_s of
-// stream time) and capacity eviction (shard grows past its cap — the
-// least-recently-active user goes first).
+// One table per gateway: a map from user id to StreamSession plus one
+// LRU list, under one mutex and one cap. Sessions are created lazily on
+// a user's first report and reclaimed two ways: idle eviction (no report
+// for idle_timeout_s of stream time) and capacity eviction (the table
+// grows past max_sessions — the gateway's least-recently-active user
+// goes first).
 //
 // Eviction destroys budget state, so a recreated session starts a fresh
 // ε window. Configure idle_timeout_s >= the budget window (the default
 // enforces this cannot bite: an idle-evicted user's window has already
-// drained) and size max_sessions_per_shard for the expected concurrent
+// drained) and size max_sessions for the expected concurrent
 // population; capacity eviction is the emergency valve, not the norm.
 #pragma once
 
@@ -22,7 +22,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "lppm/online.h"
 #include "trace/event.h"
@@ -45,21 +44,19 @@ class Telemetry;
 }
 
 struct SessionManagerConfig {
-  std::size_t shard_count = 8;
-  /// Per-shard session cap; 0 means unbounded (no capacity eviction).
-  std::size_t max_sessions_per_shard = 4096;
+  /// Session cap of the gateway; 0 means unbounded (no capacity eviction).
+  std::size_t max_sessions = 32768;
   /// Stream-time idle horizon; 0 disables idle eviction.
   trace::Timestamp idle_timeout_s = 0;
 };
 
-/// Lock-striped user-id -> StreamSession map. Thread-safe; the per-shard
-/// mutex additionally serializes session use, so each user's session
-/// sees one report at a time even when several threads acquire.
+/// User-id -> StreamSession map. Thread-safe; the table mutex also
+/// serializes session use, so each user's session sees one report at a
+/// time even when several threads acquire.
 class SessionManager {
  public:
-  /// Builds the per-user session on first report. Must be thread-safe
-  /// (it is called under distinct shard locks concurrently) and
-  /// deterministic per user id, or gateway replays stop being
+  /// Builds the per-user session on first report, under the table lock.
+  /// Must be deterministic per user id, or gateway replays stop being
   /// reproducible.
   using SessionFactory =
       std::function<std::unique_ptr<lppm::StreamSession>(const std::string& user_id)>;
@@ -67,7 +64,7 @@ class SessionManager {
   /// `telemetry` may be nullptr (eviction/creation counters dropped).
   SessionManager(SessionManagerConfig cfg, SessionFactory factory, Telemetry* telemetry);
 
-  /// The user's session with its shard lock held. Creating the guard
+  /// The user's session with the table lock held. Creating the guard
   /// runs lazy creation, LRU touch and due evictions; the session
   /// pointer stays valid exactly as long as the guard lives.
   class LockedSession {
@@ -95,13 +92,14 @@ class SessionManager {
   };
 
   /// Acquires (creating if absent) `user_id`'s session. `now` is stream
-  /// time — it drives idle eviction within the shard. A `now` earlier
+  /// time — it drives idle eviction across the table, so one report
+  /// whose clock runs ahead can idle-evict other users. A `now` earlier
   /// than the user's previous acquire (a client clock that ran
   /// backwards, an out-of-order feed) is clamped to the previous value
   /// rather than propagated: stateful sessions (ε-budget accounting
   /// above all) require monotone per-user time, and a dirty timestamp
-  /// must degrade gracefully, not crash a worker. The sanitized value is
-  /// exposed as LockedSession::monotonic_time().
+  /// must degrade gracefully, not crash the gateway. The sanitized value
+  /// is exposed as LockedSession::monotonic_time().
   [[nodiscard]] LockedSession acquire(const std::string& user_id, trace::Timestamp now);
 
   /// Replaces the session factory for sessions created from now on.
@@ -110,35 +108,25 @@ class SessionManager {
   /// Thread-safe against concurrent acquire().
   void set_factory(SessionFactory factory);
 
-  /// Number of live sessions across all shards.
+  /// Number of live sessions.
   [[nodiscard]] std::size_t session_count() const;
-
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
  private:
   struct Entry {
     std::unique_ptr<lppm::StreamSession> session;
     trace::Timestamp last_active = 0;
-    std::list<std::string>::iterator lru_pos;  ///< into Shard::lru
+    std::list<std::string>::iterator lru_pos;  ///< into lru_
   };
 
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<std::string, Entry> sessions;
-    std::list<std::string> lru;  ///< front = most recently active
-  };
-
-  Shard& shard_for(std::string_view user_id);
-  /// Drops idle/over-capacity sessions; caller holds the shard lock.
-  void evict_due(Shard& shard, trace::Timestamp now);
+  /// Drops idle/over-capacity sessions; caller holds mutex_.
+  void evict_due(trace::Timestamp now);
 
   SessionManagerConfig cfg_;
-  /// Guards factory_ against set_factory() racing the miss path of
-  /// acquire(); shard locks do not cover it (they are per-shard).
-  std::mutex factory_mutex_;
-  SessionFactory factory_;
   Telemetry* telemetry_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;  ///< guards every member below
+  SessionFactory factory_;
+  std::unordered_map<std::string, Entry> sessions_;
+  std::list<std::string> lru_;  ///< front = most recently active
 };
 
 }  // namespace locpriv::service

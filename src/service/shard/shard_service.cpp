@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -21,17 +22,6 @@ namespace locpriv::service::shard {
 namespace {
 
 constexpr int kWatchedSignals[] = {SIGTERM, SIGINT, SIGHUP, SIGCHLD};
-
-/// Sums one counter across per-shard telemetry objects.
-double sum_counter(const std::vector<io::JsonValue>& shards, const char* key) {
-  double total = 0.0;
-  for (const auto& s : shards) {
-    if (s.is_object() && s.contains("counters") && s.at("counters").contains(key)) {
-      total += s.at("counters").at(key).as_number();
-    }
-  }
-  return total;
-}
 
 }  // namespace
 
@@ -267,17 +257,19 @@ std::string ShardService::aggregate_telemetry() {
     }
   }
 
-  io::JsonObject aggregate;
-  for (const char* key : {"received", "delivered", "suppressed_budget", "rejected_queue_full",
-                          "degraded_suppressed", "degraded_fallback", "sessions_created"}) {
-    aggregate[key] = sum_counter(shard_reports, key);
-  }
+  // Every key of each shard's counters block is summed, so a counter
+  // added to the shard telemetry reaches the aggregate unlisted.
+  std::map<std::string, double> counters;
   io::JsonArray rss;
   for (const auto& s : shard_reports) {
-    if (s.is_object() && s.contains("process")) {
-      rss.push_back(s.at("process").at("resident_set_kb"));
+    if (s.contains("counters")) {
+      for (const auto& [key, value] : s.at("counters").as_object()) {
+        counters[key] += value.as_number();
+      }
     }
+    if (s.contains("process")) rss.push_back(s.at("process").at("resident_set_kb"));
   }
+  io::JsonObject aggregate(counters.begin(), counters.end());
   aggregate["resident_set_kb_per_shard"] = std::move(rss);
   aggregate["supervisor_resident_set_kb"] = static_cast<double>(resident_set_kb());
   aggregate["restarts"] = static_cast<double>(restarts_);

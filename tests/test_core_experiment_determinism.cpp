@@ -291,7 +291,6 @@ service::GatewayConfig chaos_config(std::size_t workers) {
   service::GatewayConfig cfg;
   cfg.workers = workers;
   cfg.queue_capacity = 1 << 14;
-  cfg.sessions.shard_count = 8;
   cfg.epsilon = 0.05;
   cfg.budget_eps = 0.5;
   cfg.budget_window_s = 1800;

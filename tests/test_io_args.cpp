@@ -73,6 +73,16 @@ TEST(Args, TypeConversionErrorsAreClear) {
   const ParsedArgs a = p.parse({"--data", "x", "--rate", "abc", "--trials", "2.5"});
   EXPECT_THROW((void)a.get_double("rate"), std::runtime_error);
   EXPECT_THROW((void)a.get_int("trials"), std::runtime_error);
+  // A negative count is an error naming the option, not a huge size_t.
+  const ParsedArgs negative = p.parse({"--data", "x", "--trials", "-1"});
+  EXPECT_EQ(negative.get_int("trials"), -1);
+  try {
+    (void)negative.get_count("trials");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--trials"), std::string::npos);
+  }
+  EXPECT_EQ(p.parse({"--data", "x"}).get_count("trials"), 3u);
 }
 
 TEST(Args, PositionalCollected) {

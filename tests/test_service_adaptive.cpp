@@ -340,7 +340,6 @@ GatewayConfig adaptive_config(std::size_t workers) {
   GatewayConfig cfg;
   cfg.workers = workers;
   cfg.queue_capacity = 1 << 16;  // no backpressure: accept everything
-  cfg.sessions.shard_count = 8;
   cfg.epsilon = 0.02;
   cfg.budget_eps = 1000.0;  // budget off the critical path
   cfg.budget_window_s = 3600;

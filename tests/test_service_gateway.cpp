@@ -38,7 +38,6 @@ GatewayConfig small_config() {
   GatewayConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 1 << 14;
-  cfg.sessions.shard_count = 1;
   cfg.epsilon = 0.05;
   cfg.budget_eps = 0.5;  // 10 reports per window
   cfg.budget_window_s = 1800;
@@ -91,7 +90,6 @@ TEST(Gateway, ManyWorkersManyShardsStillEqualSequentialReplayPerUser) {
   const trace::Dataset data = testutil::two_stop_dataset(12);
   GatewayConfig cfg = small_config();
   cfg.workers = 8;
-  cfg.sessions.shard_count = 16;
   Capture capture;
   {
     Gateway gateway(cfg, capture.sink());
@@ -126,7 +124,6 @@ TEST(Gateway, PerUserOrderPreservedUnderManyWorkers) {
   const trace::Dataset data = testutil::two_stop_dataset(10);
   GatewayConfig cfg = small_config();
   cfg.workers = 8;
-  cfg.sessions.shard_count = 4;
   Capture capture;
   {
     Gateway gateway(cfg, capture.sink());
@@ -145,7 +142,6 @@ TEST(Gateway, BudgetNeverOverspentUnderManyWorkers) {
   const trace::Dataset data = testutil::two_stop_dataset(10);
   GatewayConfig cfg = small_config();
   cfg.workers = 8;
-  cfg.sessions.shard_count = 4;
   Capture capture;
   TelemetrySnapshot snap;
   {
@@ -196,7 +192,6 @@ TEST(SessionManager, LazyCreationAndCounting) {
   Telemetry telemetry;
   int created = 0;
   SessionManagerConfig cfg;
-  cfg.shard_count = 4;
   SessionManager manager(
       cfg,
       [&](const std::string&) {
@@ -217,8 +212,7 @@ TEST(SessionManager, LazyCreationAndCounting) {
 TEST(SessionManager, LruEvictionBeyondCapacity) {
   Telemetry telemetry;
   SessionManagerConfig cfg;
-  cfg.shard_count = 1;
-  cfg.max_sessions_per_shard = 2;
+  cfg.max_sessions = 2;
   SessionManager manager(
       cfg, [](const std::string&) { return std::make_unique<lppm::BudgetedGeoIndSession>(
                                         0.1, lppm::GeoIndBudget(0.1, 1.0, 600), 1); },
@@ -226,7 +220,7 @@ TEST(SessionManager, LruEvictionBeyondCapacity) {
   (void)manager.acquire("a", 0);
   (void)manager.acquire("b", 1);
   (void)manager.acquire("a", 2);  // a is now most recent; b is the LRU
-  (void)manager.acquire("c", 3);  // pushes the shard over capacity
+  (void)manager.acquire("c", 3);  // pushes the table over capacity
   EXPECT_EQ(manager.session_count(), 2u);
   EXPECT_EQ(telemetry.snapshot().sessions_evicted_lru, 1u);
   // b (the least recently used) was the victim: touching it re-creates.
@@ -240,7 +234,6 @@ TEST(SessionManager, LruEvictionBeyondCapacity) {
 TEST(SessionManager, IdleEvictionUsesStreamTime) {
   Telemetry telemetry;
   SessionManagerConfig cfg;
-  cfg.shard_count = 1;
   cfg.idle_timeout_s = 100;
   SessionManager manager(
       cfg, [](const std::string&) { return std::make_unique<lppm::BudgetedGeoIndSession>(
@@ -255,6 +248,64 @@ TEST(SessionManager, IdleEvictionUsesStreamTime) {
   (void)manager.acquire("c", 300);
   EXPECT_EQ(manager.session_count(), 1u);  // a and b evicted, c created
   EXPECT_EQ(telemetry.snapshot().sessions_evicted_idle, 2u);
+}
+
+/// The first `n` ids "user-<i>" whose stable_hash64 % 8 is 0: ids that
+/// an 8-way lock-striped table would all have put in one stripe.
+std::vector<std::string> same_stripe_ids(std::size_t n) {
+  std::vector<std::string> ids;
+  for (int i = 0; ids.size() < n; ++i) {
+    std::string id = "user-" + std::to_string(i);
+    if (stable_hash64(id) % 8 == 0) ids.push_back(std::move(id));
+  }
+  return ids;
+}
+
+TEST(SessionManager, NoCapacityEvictionBelowTheCap) {
+  // The cap is the gateway's, whatever the ids hash to.
+  Telemetry telemetry;
+  SessionManagerConfig cfg;
+  cfg.max_sessions = 64;
+  SessionManager manager(
+      cfg, [](const std::string&) { return std::make_unique<lppm::BudgetedGeoIndSession>(
+                                        0.1, lppm::GeoIndBudget(0.1, 1.0, 600), 1); },
+      &telemetry);
+  const std::vector<std::string> ids = same_stripe_ids(65);
+  for (std::size_t i = 0; i < 64; ++i) {
+    (void)manager.acquire(ids[i], static_cast<trace::Timestamp>(i));
+  }
+  EXPECT_EQ(manager.session_count(), 64u);
+  EXPECT_EQ(telemetry.snapshot().sessions_evicted_lru, 0u);
+
+  (void)manager.acquire(ids[64], 64);
+  EXPECT_EQ(manager.session_count(), 64u);
+  EXPECT_EQ(telemetry.snapshot().sessions_evicted_lru, 1u);
+  // The victim was ids[0], the least recent: every other id is still live.
+  const auto created = telemetry.snapshot().sessions_created;
+  for (std::size_t i = 1; i <= 64; ++i) (void)manager.acquire(ids[i], 100);
+  EXPECT_EQ(telemetry.snapshot().sessions_created, created);
+  (void)manager.acquire(ids[0], 100);
+  EXPECT_EQ(telemetry.snapshot().sessions_created, created + 1);
+}
+
+TEST(SessionManager, IdleEvictionReachesEveryUser) {
+  // An idle user is reclaimed whichever ids report after it.
+  Telemetry telemetry;
+  SessionManagerConfig cfg;
+  cfg.idle_timeout_s = 100;
+  SessionManager manager(
+      cfg, [](const std::string&) { return std::make_unique<lppm::BudgetedGeoIndSession>(
+                                        0.1, lppm::GeoIndBudget(0.1, 1.0, 600), 1); },
+      &telemetry);
+  (void)manager.acquire("a", 0);
+  // Four ids whose stable_hash64 % 8 differ from a's and from each other.
+  std::set<std::uint64_t> stripes = {stable_hash64("a") % 8};
+  for (int i = 0; stripes.size() < 5; ++i) {
+    const std::string id = "user-" + std::to_string(i);
+    if (stripes.insert(stable_hash64(id) % 8).second) (void)manager.acquire(id, 500);
+  }
+  EXPECT_EQ(telemetry.snapshot().sessions_evicted_idle, 1u);  // a, idle for 500 s
+  EXPECT_EQ(manager.session_count(), 4u);
 }
 
 TEST(Gateway, CustomFactoryRunsAnyStreamingMechanism) {

@@ -355,7 +355,6 @@ GatewayConfig chaos_gateway_config() {
   GatewayConfig cfg;
   cfg.workers = 4;
   cfg.queue_capacity = 1 << 14;  // large: only injected bursts reject
-  cfg.sessions.shard_count = 8;
   cfg.epsilon = 0.05;
   cfg.budget_eps = 0.5;
   cfg.budget_window_s = 1800;

@@ -414,7 +414,8 @@ ShardServiceConfig supervisor_config(const std::string& name, std::size_t shards
 }
 
 TEST(ShardService, ServesShardMapRoutesSubmitsAndAggregatesTelemetry) {
-  const ShardServiceConfig cfg = supervisor_config("svc_map", 2);
+  ShardServiceConfig cfg = supervisor_config("svc_map", 2);
+  cfg.gateway.sessions.max_sessions = 4;  // 20 users on 2 shards: capacity evictions
   ShardService svc(cfg);
   ASSERT_TRUE(svc.start()) << svc.error();
 
@@ -460,14 +461,29 @@ TEST(ShardService, ServesShardMapRoutesSubmitsAndAggregatesTelemetry) {
     }
   }
 
-  // Aggregate telemetry sums the shards and reports per-shard RSS.
+  // Aggregate telemetry sums every per-shard counter and reports
+  // per-shard RSS.
   ASSERT_TRUE(supervisor_request(svc, sup, net::FrameType::kTelemetryReq, "", reply));
   ASSERT_EQ(reply.type, net::FrameType::kTelemetryReply);
   const io::JsonValue telemetry =
       io::parse_json(std::string(reply.payload.begin(), reply.payload.end()));
-  EXPECT_EQ(telemetry.at("aggregate").at("received").as_number(), kUsers);
-  EXPECT_EQ(telemetry.at("aggregate").at("delivered").as_number(), kUsers);
-  EXPECT_EQ(telemetry.at("aggregate").at("resident_set_kb_per_shard").as_array().size(), 2u);
+  const io::JsonValue& aggregate = telemetry.at("aggregate");
+  EXPECT_EQ(aggregate.at("received").as_number(), kUsers);
+  EXPECT_EQ(aggregate.at("delivered").as_number(), kUsers);
+  EXPECT_EQ(aggregate.at("resident_set_kb_per_shard").as_array().size(), 2u);
+  const io::JsonArray& shard_reports = telemetry.at("per_shard").as_array();
+  ASSERT_EQ(shard_reports.size(), 2u);
+  for (const auto& [key, value] : shard_reports[0].at("counters").as_object()) {
+    double sum = 0.0;
+    for (const io::JsonValue& r : shard_reports) sum += r.at("counters").at(key).as_number();
+    if (!aggregate.contains(key)) {
+      ADD_FAILURE() << "aggregate lacks " << key;
+      continue;
+    }
+    EXPECT_EQ(aggregate.at(key).as_number(), sum) << key;
+  }
+  ASSERT_TRUE(aggregate.contains("sessions_evicted_lru"));
+  EXPECT_GT(aggregate.at("sessions_evicted_lru").as_number(), 0.0);  // the cap of 4 evicted
 
   // A submit on the supervisor endpoint is a protocol error.
   ASSERT_TRUE(supervisor_request(svc, sup, net::FrameType::kSubmit, "nope", reply));

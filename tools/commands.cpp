@@ -62,8 +62,7 @@ core::SystemDefinition system_from_args(const io::ParsedArgs& parsed) {
 
   const std::unique_ptr<lppm::Mechanism> probe = lppm::create_mechanism(mechanism);
   const std::string parameter = tuned_parameter(parsed, *probe);
-  def.sweep = core::full_range_sweep(*probe, parameter,
-                                     static_cast<std::size_t>(parsed.get_int("points")));
+  def.sweep = core::full_range_sweep(*probe, parameter, parsed.get_count("points"));
   if (parsed.has("min")) def.sweep.min_value = parsed.get_double("min");
   if (parsed.has("max")) def.sweep.max_value = parsed.get_double("max");
 
@@ -174,13 +173,13 @@ int cmd_generate(const Args& args) {
   trace::Dataset data;
   if (scenario == "taxi") {
     synth::TaxiScenarioConfig cfg;
-    cfg.driver_count = static_cast<std::size_t>(parsed.get_int("users"));
+    cfg.driver_count = parsed.get_count("users");
     cfg.taxi.shift_duration_s = parsed.get_int("shift-hours") * 3600;
     data = synth::make_taxi_dataset(cfg, static_cast<std::uint64_t>(parsed.get_int("seed")));
   } else if (scenario == "commuter") {
     synth::CommuterScenarioConfig cfg;
-    cfg.user_count = static_cast<std::size_t>(parsed.get_int("users"));
-    cfg.commuter.days = static_cast<std::size_t>(parsed.get_int("days"));
+    cfg.user_count = parsed.get_count("users");
+    cfg.commuter.days = parsed.get_count("days");
     data = synth::make_commuter_dataset(cfg, static_cast<std::uint64_t>(parsed.get_int("seed")));
   } else {
     throw std::runtime_error("unknown scenario '" + scenario + "' (taxi | commuter)");
@@ -211,7 +210,7 @@ int cmd_profile(const Args& args) {
 
   std::cout << "\nPCA ranking (most impactful first):\n";
   const auto ranked = core::rank_properties(data);
-  const auto top = static_cast<std::size_t>(parsed.get_int("top"));
+  const auto top = parsed.get_count("top");
   for (std::size_t i = 0; i < ranked.size() && i < top; ++i) {
     std::cout << "  " << (i + 1) << ". " << ranked[i].name << "  ("
               << io::Table::num(ranked[i].importance, 3) << ")\n";
@@ -241,9 +240,9 @@ int cmd_sweep(const Args& args) {
   const trace::Dataset data = load_dataset(parsed.get("data"));
   const core::SystemDefinition def = system_from_args(parsed);
   core::ExperimentConfig cfg;
-  cfg.trials = static_cast<std::size_t>(parsed.get_int("trials"));
+  cfg.trials = parsed.get_count("trials");
   cfg.seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
-  cfg.threads = static_cast<std::size_t>(parsed.get_int("threads"));
+  cfg.threads = parsed.get_count("threads");
   cfg.use_artifact_cache = !parsed.get_flag("no-cache");
   if (cfg.use_artifact_cache) cfg.artifact_cache = std::make_shared<metrics::ArtifactCache>();
   if (parsed.has("split") && parsed.has("folds")) {
@@ -254,7 +253,7 @@ int cmd_sweep(const Args& args) {
     cfg.split.test_fraction = parsed.get_double("split");
   } else if (parsed.has("folds")) {
     cfg.split.mode = core::SplitMode::kKFold;
-    cfg.split.folds = static_cast<std::size_t>(parsed.get_int("folds"));
+    cfg.split.folds = parsed.get_count("folds");
   }
   cfg.split.seed = static_cast<std::uint64_t>(parsed.get_int("split-seed"));
 
@@ -390,10 +389,9 @@ int cmd_configure(const Args& args) {
         metrics::create_metric(parsed.get("utility-metric")));
     const auto cache = std::make_shared<metrics::ArtifactCache>();
     const core::SweepPoint measured =
-        core::evaluate_point(def, data, cfg.recommended,
-                             static_cast<std::size_t>(parsed.get_int("trials")),
+        core::evaluate_point(def, data, cfg.recommended, parsed.get_count("trials"),
                              static_cast<std::uint64_t>(parsed.get_int("seed")), cache,
-                             static_cast<std::size_t>(parsed.get_int("threads")));
+                             parsed.get_count("threads"));
     std::cout << "measured on " << parsed.get("data") << ": " << def.privacy->name() << " = "
               << io::Table::num(measured.privacy_mean, 4) << ", " << def.utility->name() << " = "
               << io::Table::num(measured.utility_mean, 4) << "\n";
@@ -470,16 +468,16 @@ int cmd_validate(const Args& args) {
   const trace::Dataset data = load_dataset(parsed.get("data"));
   const core::SystemDefinition def = system_from_args(parsed);
   core::ExperimentConfig cfg;
-  cfg.trials = static_cast<std::size_t>(parsed.get_int("trials"));
+  cfg.trials = parsed.get_count("trials");
   cfg.seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
-  cfg.threads = static_cast<std::size_t>(parsed.get_int("threads"));
+  cfg.threads = parsed.get_count("threads");
   if (parsed.has("split-seed")) {
     cfg.split.mode = core::SplitMode::kKFold;
     cfg.split.seed = static_cast<std::uint64_t>(parsed.get_int("split-seed"));
   }
 
   const core::CrossValidationReport report =
-      core::cross_validate(def, data, static_cast<std::size_t>(parsed.get_int("folds")), cfg);
+      core::cross_validate(def, data, parsed.get_count("folds"), cfg);
 
   io::Table table({"fold", "train users", "test users", "Pr RMSE", "Ut RMSE", "train Pr R^2"});
   for (const core::FoldReport& f : report.folds) {
@@ -509,9 +507,9 @@ int cmd_compare(const Args& args) {
 
   const trace::Dataset data = load_dataset(parsed.get("data"));
   core::ExperimentConfig cfg;
-  cfg.trials = static_cast<std::size_t>(parsed.get_int("trials"));
+  cfg.trials = parsed.get_count("trials");
   cfg.seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
-  cfg.threads = static_cast<std::size_t>(parsed.get_int("threads"));
+  cfg.threads = parsed.get_count("threads");
 
   // Split the comma list.
   std::vector<std::string> names;
@@ -535,7 +533,7 @@ int cmd_compare(const Args& args) {
         continue;
       }
       def.sweep = core::full_range_sweep(*probe, probe->parameters().front().name,
-                                         static_cast<std::size_t>(parsed.get_int("points")));
+                                         parsed.get_count("points"));
       def.privacy = std::shared_ptr<const metrics::Metric>(
           metrics::create_metric(parsed.get("privacy-metric")));
       def.utility = std::shared_ptr<const metrics::Metric>(
@@ -644,7 +642,6 @@ int cmd_serve_sim(const Args& args) {
             .default_value = "12"})
       .add({.name = "workers", .help = "gateway downstream lanes (downstream calls in flight)",
             .default_value = "4"})
-      .add({.name = "shards", .help = "session-manager shard count", .default_value = "8"})
       .add({.name = "queue-capacity", .help = "held answers per lane (backpressure bound)",
             .default_value = "1024"})
       .add({.name = "epsilon", .help = "Geo-I epsilon per report", .default_value = "0.02"})
@@ -654,8 +651,8 @@ int cmd_serve_sim(const Args& args) {
       .add({.name = "idle-timeout",
             .help = "evict sessions idle this many stream-seconds (0 = never)",
             .default_value = "0"})
-      .add({.name = "max-sessions", .help = "per-shard session cap (0 = unbounded)",
-            .default_value = "4096"})
+      .add({.name = "max-sessions", .help = "session cap of the gateway (0 = unbounded)",
+            .default_value = "32768"})
       .add({.name = "rate",
             .help = "stream-seconds replayed per wall-second (0 = flat out)",
             .default_value = "0"})
@@ -701,11 +698,11 @@ int cmd_serve_sim(const Args& args) {
     const auto seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
     if (scenario == "taxi") {
       synth::TaxiScenarioConfig cfg;
-      cfg.driver_count = static_cast<std::size_t>(parsed.get_int("users"));
+      cfg.driver_count = parsed.get_count("users");
       data = synth::make_taxi_dataset(cfg, seed);
     } else if (scenario == "commuter") {
       synth::CommuterScenarioConfig cfg;
-      cfg.user_count = static_cast<std::size_t>(parsed.get_int("users"));
+      cfg.user_count = parsed.get_count("users");
       data = synth::make_commuter_dataset(cfg, seed);
     } else {
       throw std::runtime_error("unknown scenario '" + scenario + "' (taxi | commuter)");
@@ -713,11 +710,10 @@ int cmd_serve_sim(const Args& args) {
   }
 
   service::GatewayConfig cfg;
-  cfg.workers = static_cast<std::size_t>(parsed.get_int("workers"));
-  cfg.queue_capacity = static_cast<std::size_t>(parsed.get_int("queue-capacity"));
-  cfg.sessions.shard_count = static_cast<std::size_t>(parsed.get_int("shards"));
+  cfg.workers = parsed.get_count("workers");
+  cfg.queue_capacity = parsed.get_count("queue-capacity");
   cfg.sessions.idle_timeout_s = parsed.get_int("idle-timeout");
-  cfg.sessions.max_sessions_per_shard = static_cast<std::size_t>(parsed.get_int("max-sessions"));
+  cfg.sessions.max_sessions = parsed.get_count("max-sessions");
   cfg.epsilon = parsed.get_double("epsilon");
   cfg.budget_eps = cfg.epsilon * parsed.get_double("budget-reports");
   cfg.budget_window_s = parsed.get_int("window");
@@ -726,10 +722,10 @@ int cmd_serve_sim(const Args& args) {
   if (parsed.has("faults")) cfg.faults = service::parse_fault_spec(parsed.get("faults"));
   cfg.fault_seed = static_cast<std::uint64_t>(parsed.get_int("fault-seed"));
   cfg.resilience.policy = service::parse_degrade_policy(parsed.get("policy"));
-  cfg.resilience.max_retries = static_cast<std::uint32_t>(parsed.get_int("max-retries"));
+  cfg.resilience.max_retries = static_cast<std::uint32_t>(parsed.get_count("max-retries"));
   cfg.resilience.deadline_us = static_cast<std::uint64_t>(parsed.get_int("deadline-us"));
   cfg.resilience.breaker.failure_threshold =
-      static_cast<std::uint32_t>(parsed.get_int("breaker-threshold"));
+      static_cast<std::uint32_t>(parsed.get_count("breaker-threshold"));
   cfg.resilience.breaker.cooldown_s = parsed.get_int("breaker-cooldown");
   cfg.resilience.fallback_cell_m = parsed.get_double("fallback-cell");
   if (parsed.has("objectives")) {
@@ -737,7 +733,7 @@ int cmd_serve_sim(const Args& args) {
   }
 
   std::cout << "serve-sim: " << data.size() << " users, " << data.total_events() << " events | "
-            << cfg.workers << " workers, " << cfg.sessions.shard_count << " shards, queue "
+            << cfg.workers << " workers, queue "
             << cfg.queue_capacity << " | eps " << cfg.epsilon << ", budget "
             << parsed.get("budget-reports") << " reports/" << cfg.budget_window_s << " s\n";
   if (cfg.objectives.has_value()) {

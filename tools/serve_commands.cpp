@@ -42,10 +42,8 @@ int cmd_serve(const Args& args) {
             .default_value = "2"})
       .add({.name = "queue-capacity", .help = "held answers per lane (backpressure bound)",
             .default_value = "1024"})
-      .add({.name = "session-shards", .help = "session-manager stripe count per shard",
-            .default_value = "8"})
-      .add({.name = "max-sessions", .help = "per-stripe session cap (0 = unbounded)",
-            .default_value = "4096"})
+      .add({.name = "max-sessions", .help = "session cap per shard process (0 = unbounded)",
+            .default_value = "32768"})
       .add({.name = "idle-timeout",
             .help = "evict sessions idle this many stream-seconds (0 = never)",
             .default_value = "0"})
@@ -66,16 +64,15 @@ int cmd_serve(const Args& args) {
 
   service::shard::ShardServiceConfig cfg;
   cfg.listen = parse_endpoint_arg(parsed.get("listen"));
-  cfg.shards = static_cast<std::size_t>(parsed.get_int("shards"));
+  cfg.shards = parsed.get_count("shards");
   if (parsed.has("data")) cfg.dataset_path = parsed.get("data");
   cfg.audit = parsed.get_flag("audit");
   if (parsed.has("reload-file")) cfg.reload_file = parsed.get("reload-file");
 
   service::GatewayConfig& gw = cfg.gateway;
-  gw.workers = static_cast<std::size_t>(parsed.get_int("workers"));
-  gw.queue_capacity = static_cast<std::size_t>(parsed.get_int("queue-capacity"));
-  gw.sessions.shard_count = static_cast<std::size_t>(parsed.get_int("session-shards"));
-  gw.sessions.max_sessions_per_shard = static_cast<std::size_t>(parsed.get_int("max-sessions"));
+  gw.workers = parsed.get_count("workers");
+  gw.queue_capacity = parsed.get_count("queue-capacity");
+  gw.sessions.max_sessions = parsed.get_count("max-sessions");
   gw.sessions.idle_timeout_s = parsed.get_int("idle-timeout");
   gw.epsilon = parsed.get_double("epsilon");
   gw.budget_eps = gw.epsilon * parsed.get_double("budget-reports");

@@ -32,7 +32,7 @@ grep -q "kept" "$DIR/clean.txt"
 "$CLI" report --sweep "$DIR/sweep.json" --model "$DIR/model.json" --privacy-max 0.5 --out "$DIR/report.md"
 grep -q "## Fitted model" "$DIR/report.md"
 
-"$CLI" serve-sim --data "$DIR/data.csv" --workers 2 --shards 4 --out "$DIR/telemetry.json" > "$DIR/serve.txt"
+"$CLI" serve-sim --data "$DIR/data.csv" --workers 2 --out "$DIR/telemetry.json" > "$DIR/serve.txt"
 grep -q "events/sec" "$DIR/serve.txt"
 grep -q "rejected_queue_full" "$DIR/telemetry.json"
 
@@ -83,5 +83,10 @@ STATUS=0
   2> "$DIR/protect_noop.txt" || STATUS=$?
 [ "$STATUS" = 1 ] || { echo "protect --mechanism noop --value exited $STATUS"; exit 1; }
 grep -q "has no tunable parameter" "$DIR/protect_noop.txt"
+# A negative count is rejected by name, not wrapped to a huge unsigned value.
+STATUS=0
+"$CLI" serve-sim --data "$DIR/data.csv" --workers -1 2> "$DIR/negative.txt" > /dev/null || STATUS=$?
+[ "$STATUS" = 1 ] || { echo "serve-sim --workers -1 exited $STATUS"; exit 1; }
+grep -q "option --workers: '-1' is negative" "$DIR/negative.txt"
 
 echo "cli workflow OK"
