@@ -227,6 +227,7 @@ SweepResult run_sweep(const SystemDefinition& system, const trace::Dataset& data
                       const ExperimentConfig& config) {
   system.validate();
   if (data.empty()) throw std::invalid_argument("run_sweep: empty dataset");
+  if (config.trials == 0) throw std::invalid_argument("run_sweep: need at least one trial");
 
   const std::vector<double> values = sweep_values(system.sweep);
   obs::Span sweep_span("core", "run_sweep");
@@ -245,8 +246,6 @@ SweepResult run_sweep(const SystemDefinition& system, const trace::Dataset& data
   result.privacy_direction = system.privacy->direction();
   result.utility_direction = system.utility->direction();
   result.points.resize(values.size());
-
-  if (config.trials == 0) throw std::invalid_argument("evaluate_point: need at least one trial");
 
   // Partition users up front (pure in (user count, spec)): every
   // (point, trial) task scores the same folds, so the split never

@@ -126,19 +126,11 @@ std::int64_t floor_to_cell(double q) {
   return t - (static_cast<double>(t) > q ? 1 : 0);
 }
 
-/// The cells of `n` points read through `xy(i)`. Trace columns are time
-/// ordered, so consecutive samples mostly share a cell and the set is
-/// only probed when the cell changes.
+/// Adds the cells of `n` points read through `xy(i)` to `cells`. Trace
+/// columns are time ordered, so consecutive samples mostly share a cell
+/// and the set is only probed when the cell changes.
 template <typename XY>
-CellSet rasterize(std::size_t n, XY xy, Point origin, double cell_size) {
-  // Room for a cell per four points, as the node-based set this
-  // replaced reserved: a dense trace rarely regrows, a scattered one
-  // doubles twice, and the table stays well under the allocator's mmap
-  // threshold so repeated builds reuse warm arena pages. Reserving a
-  // cell per point made the offline configure benchmark about 2 %
-  // faster on a 4-vCPU Xeon VM but raised its peak memory by about 13 %.
-  CellSet cells;
-  cells.reserve(std::min<std::size_t>(n / 4, 4095));
+void rasterize(std::size_t n, XY xy, Point origin, double cell_size, CellSet& cells) {
   CellIndex prev{};
   bool have_prev = false;
   for (std::size_t i = 0; i < n; ++i) {
@@ -150,19 +142,41 @@ CellSet rasterize(std::size_t n, XY xy, Point origin, double cell_size) {
     prev = c;
     have_prev = true;
   }
+}
+
+/// An empty set for covered_cells to return for `n` points, with room
+/// for a cell per four of them. Its callers cache that set for a whole
+/// sweep (the actual side's coverage artifact). Reserving a cell per
+/// point made the offline configure benchmark about 2 % faster on a
+/// 4-vCPU Xeon VM but raised its peak memory by about 13 %, measured
+/// while protected sets were cached too; a set that is scored and
+/// dropped at once is reserved for every point by its caller instead,
+/// through add_covered_cells.
+CellSet returned_set(std::size_t n) {
+  CellSet cells;
+  cells.reserve(std::min<std::size_t>(n / 4, 4095));
   return cells;
 }
 
 }  // namespace
 
 CellSet Grid::covered_cells(std::span<const Point> pts) const {
-  return rasterize(pts.size(), [&](std::size_t i) { return pts[i]; }, origin_, cell_size_);
+  CellSet cells = returned_set(pts.size());
+  rasterize(pts.size(), [&](std::size_t i) { return pts[i]; }, origin_, cell_size_, cells);
+  return cells;
 }
 
 CellSet Grid::covered_cells(std::span<const double> xs, std::span<const double> ys) const {
+  CellSet cells = returned_set(xs.size());
+  add_covered_cells(xs, ys, cells);
+  return cells;
+}
+
+void Grid::add_covered_cells(std::span<const double> xs, std::span<const double> ys,
+                             CellSet& out) const {
   if (xs.size() != ys.size()) throw std::invalid_argument("covered_cells: column length mismatch");
-  return rasterize(xs.size(), [&](std::size_t i) { return Point{xs[i], ys[i]}; }, origin_,
-                   cell_size_);
+  rasterize(xs.size(), [&](std::size_t i) { return Point{xs[i], ys[i]}; }, origin_, cell_size_,
+            out);
 }
 
 GridExtent::GridExtent(const BoundingBox& box, double cell_size_m)

@@ -118,6 +118,12 @@ class Grid {
   /// xs.size() == ys.size() (std::invalid_argument otherwise).
   [[nodiscard]] CellSet covered_cells(std::span<const double> xs, std::span<const double> ys) const;
 
+  /// Adds the cells of the columns to `out`: the columnar covered_cells
+  /// loop and errors, into a set the caller sizes. A throw leaves `out`
+  /// holding the cells added before the bad point.
+  void add_covered_cells(std::span<const double> xs, std::span<const double> ys,
+                         CellSet& out) const;
+
  private:
   double cell_size_;
   Point origin_;

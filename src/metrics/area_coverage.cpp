@@ -17,8 +17,16 @@ const std::string& AreaCoverage::name() const { return name_; }
 
 double AreaCoverage::evaluate_trace(const EvalContext& ctx, std::size_t user) const {
   const auto a = coverage_artifact(ctx, Side::kActual, user, cell_size_m_);
-  const auto p = coverage_artifact(ctx, Side::kProtected, user, cell_size_m_);
-  return flavor_ == Flavor::kF1 ? geo::f1_score(*a, *p) : geo::jaccard(*a, *p);
+  // The protected side is built per call and never cached: a sweep
+  // scores each protected trace once, and no other metric reads its
+  // cells. Reserved for every event, the table never regrows; it holds
+  // at most max(64, 4·n) 8-byte slots, so 32 bytes per event, and each
+  // evaluating thread has one alive at a time.
+  const trace::Trace& t = ctx.protected_data()[user];
+  geo::CellSet p;
+  p.reserve(t.size());
+  geo::Grid(cell_size_m_).add_covered_cells(t.xs(), t.ys(), p);
+  return flavor_ == Flavor::kF1 ? geo::f1_score(*a, p) : geo::jaccard(*a, p);
 }
 
 }  // namespace locpriv::metrics

@@ -8,7 +8,10 @@
 //   "staypoints"         std::vector<poi::StayPoint>  keyed by stay tolerance/duration
 //   "poi-set"            std::vector<poi::Poi>        built from cached stay points
 //   "coverage"           geo::CellSet                 keyed by cell size; one flat
-//                                                     table of packed cell keys
+//                                                     table of packed cell keys;
+//                                                     actual side only (AreaCoverage
+//                                                     scores the protected side per
+//                                                     call, uncached)
 //   "tracking-prior"     attack::TrackingPrior        dataset scope; keyed by raster
 //                                                     cell + split-partition id
 //   "tracking-prior-loo" attack::TrackingPrior        per user, fitted on everyone
@@ -48,6 +51,7 @@ namespace locpriv::metrics {
     const EvalContext& ctx, Side side, std::size_t user, const poi::ExtractorConfig& cfg);
 
 /// Cached set of grid cells covered by `side` user `user` at `cell_size_m`.
+/// The built-in metrics ask for the actual side only.
 [[nodiscard]] std::shared_ptr<const geo::CellSet> coverage_artifact(const EvalContext& ctx,
                                                                     Side side, std::size_t user,
                                                                     double cell_size_m);

@@ -14,13 +14,13 @@ Dataset::Dataset(std::shared_ptr<const TraceStore> store) : store_(std::move(sto
 }
 
 void Dataset::add(Trace t) {
-  for (const Trace& existing : traces_) {
-    if (existing.user_id() == t.user_id()) {
-      throw std::invalid_argument("Dataset::add: duplicate user id '" + t.user_id() + "'");
-    }
+  for (std::size_t i = ids_.size(); i < traces_.size(); ++i) ids_.insert(traces_[i].user_id());
+  if (ids_.contains(t.user_id())) {
+    throw std::invalid_argument("Dataset::add: duplicate user id '" + t.user_id() + "'");
   }
   traces_.push_back(std::move(t));
   store_.reset();  // the arena no longer spans every trace
+  ids_.insert(traces_.back().user_id());
 }
 
 const Trace* Dataset::find(const std::string& user_id) const {

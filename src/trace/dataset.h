@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "geo/bbox.h"
@@ -30,6 +31,8 @@ class Dataset {
   explicit Dataset(std::shared_ptr<const TraceStore> store);
 
   /// Adds a trace; throws std::invalid_argument on duplicate user id.
+  /// O(1) expected: the check looks the id up in an index of every id
+  /// added so far.
   void add(Trace t);
 
   [[nodiscard]] bool empty() const { return traces_.empty(); }
@@ -39,7 +42,9 @@ class Dataset {
   [[nodiscard]] auto begin() const { return traces_.begin(); }
   [[nodiscard]] auto end() const { return traces_.end(); }
 
-  /// Finds a trace by user id (nullptr when absent).
+  /// Finds a trace by user id (nullptr when absent). A linear scan: the
+  /// id index belongs to add(), so that concurrent readers of a const
+  /// dataset share no lazily built state.
   [[nodiscard]] const Trace* find(const std::string& user_id) const;
 
   /// Total number of events across all traces.
@@ -70,6 +75,9 @@ class Dataset {
 
  private:
   std::vector<Trace> traces_;
+  // The ids of traces_[0, ids_.size()). The arena constructor copies no
+  // ids, so add() first indexes the traces that are not yet in it.
+  std::unordered_set<std::string> ids_;
   // Set when constructed over an arena; cleared by add() because the
   // arena then no longer covers the whole dataset.
   std::shared_ptr<const TraceStore> store_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/experiment.h"
 #include "core/sweep.h"
@@ -231,6 +232,15 @@ TEST(RunSweep, SeedChangesResults) {
 TEST(RunSweep, EmptyDatasetThrows) {
   const SystemDefinition def = make_geo_i_system(4);
   EXPECT_THROW(run_sweep(def, trace::Dataset{}, {}), std::invalid_argument);
+  // Zero trials is rejected up front too, under run_sweep's own name.
+  ExperimentConfig no_trials;
+  no_trials.trials = 0;
+  try {
+    (void)run_sweep(def, testutil::two_stop_dataset(2), no_trials);
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("run_sweep"), std::string::npos) << e.what();
+  }
 }
 
 TEST(RunSweep, PrivacyIncreasesWithEpsilonOverall) {

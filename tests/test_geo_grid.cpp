@@ -50,6 +50,13 @@ void expect_same_cells(const CellSet& cells, const CellOracle& oracle) {
   }
 }
 
+// add_covered_cells into an empty, unreserved set.
+CellSet added_cells(const Grid& g, const std::vector<double>& xs, const std::vector<double>& ys) {
+  CellSet cells;
+  g.add_covered_cells(xs, ys, cells);
+  return cells;
+}
+
 TEST(BoundingBox, EmptyByDefault) {
   const BoundingBox box;
   EXPECT_TRUE(box.empty());
@@ -164,6 +171,7 @@ TEST(Grid, ColumnarCoverageMatchesPointwise) {
   for (std::size_t i = 0; i < xs.size(); ++i) pts.push_back({xs[i], ys[i]});
   const CellSet expected = g.covered_cells(pts);
   EXPECT_EQ(g.covered_cells(xs, ys), expected);
+  EXPECT_EQ(added_cells(g, xs, ys), expected);
   expect_same_cells(expected, oracle_cells(g, pts));
 }
 
@@ -177,6 +185,7 @@ TEST(Grid, ColumnarCoverageSentinelCell) {
   EXPECT_EQ(cells.size(), 2u);
   EXPECT_TRUE(cells.contains(CellIndex{-1, -1}));
   expect_same_cells(cells, {{-1, -1}, {0, 0}});
+  EXPECT_EQ(added_cells(g, xs, ys), cells);
 
   const std::vector<double> only_xs{-10}, only_ys{-10}, other_xs{10, 110}, other_ys{10, 10};
   const CellSet only = g.covered_cells(only_xs, only_ys);
@@ -208,15 +217,36 @@ TEST(Grid, ColumnarCoverageManyCells) {
   }
   const CellSet expected = g.covered_cells(pts);
   EXPECT_EQ(g.covered_cells(xs, ys), expected);
+  EXPECT_EQ(added_cells(g, xs, ys), expected);
   const CellOracle oracle = oracle_cells(g, pts);
   EXPECT_EQ(oracle.size(), 3001u);
   expect_same_cells(expected, oracle);
+}
+
+TEST(Grid, AddCoveredCellsUnionsIntoAFilledSet) {
+  // Into a set that already holds cells, the sentinel cell (-1, -1)
+  // among them, the columns' cells join it and shared cells count once.
+  const Grid g(100.0);
+  const std::vector<double> first_xs{-10, 10, 250}, first_ys{-10, 10, 10};
+  const std::vector<double> xs{10, 150, -10, 350, 10}, ys{10, 10, -10, -250, 10};
+  CellSet cells = g.covered_cells(first_xs, first_ys);
+  g.add_covered_cells(xs, ys, cells);
+  expect_same_cells(cells, {{-1, -1}, {0, 0}, {1, 0}, {2, 0}, {3, -3}});
+
+  // Adding the same columns again changes nothing.
+  CellSet again = cells;
+  g.add_covered_cells(xs, ys, again);
+  EXPECT_EQ(again, cells);
+  EXPECT_EQ(again.size(), 5u);
 }
 
 TEST(Grid, ColumnarCoverageRejectsMismatchedColumns) {
   const Grid g(100.0);
   const std::vector<double> xs{1, 2}, ys{1};
   EXPECT_THROW((void)g.covered_cells(xs, ys), std::invalid_argument);
+  CellSet out;
+  EXPECT_THROW(g.add_covered_cells(xs, ys, out), std::invalid_argument);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Grid, ColumnarCoverageRejectsOutOfRangeCells) {
@@ -229,12 +259,16 @@ TEST(Grid, ColumnarCoverageRejectsOutOfRangeCells) {
     const std::vector<double> xs{0.5, bad}, ys{0.5, 0.5};
     EXPECT_THROW((void)g.covered_cells(xs, ys), std::out_of_range) << bad;
     EXPECT_THROW((void)g.covered_cells(ys, xs), std::out_of_range) << bad;
+    CellSet out;
+    EXPECT_THROW(g.add_covered_cells(xs, ys, out), std::out_of_range) << bad;
+    EXPECT_THROW(g.add_covered_cells(ys, xs, out), std::out_of_range) << bad;
     const std::vector<Point> pts{{0.5, 0.5}, {bad, 0.5}};
     EXPECT_THROW((void)g.covered_cells(pts), std::out_of_range) << bad;
   }
   // The extreme axes themselves rasterize, and stay distinct.
   const std::vector<double> xs{-2147483648.0, 2147483647.5, 0.5}, ys{0.5, 0.5, 0.5};
   expect_same_cells(g.covered_cells(xs, ys), {{-2147483648, 0}, {2147483647, 0}, {0, 0}});
+  expect_same_cells(added_cells(g, xs, ys), {{-2147483648, 0}, {2147483647, 0}, {0, 0}});
 }
 
 TEST(CellSetOps, JaccardIdenticalSetsIsOne) {

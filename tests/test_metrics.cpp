@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 
+#include "geo/grid.h"
 #include "lppm/gaussian.h"
 #include "lppm/geo_ind.h"
 #include "lppm/noop.h"
 #include "lppm/promesse.h"
 #include "metrics/area_coverage.h"
+#include "metrics/artifacts.h"
 #include "metrics/cell_hit.h"
 #include "metrics/distortion.h"
 #include "metrics/home_inference.h"
@@ -20,6 +24,7 @@
 #include "metrics/transform.h"
 #include "metrics/trip_length.h"
 #include "metrics/worst_case.h"
+#include "synth/scenario.h"
 #include "test_util.h"
 
 namespace locpriv::metrics {
@@ -95,6 +100,70 @@ TEST(AreaCoverage, JaccardFlavorNoGreaterThanF1) {
   const AreaCoverage jac(115.0, AreaCoverage::Flavor::kJaccard);
   EXPECT_LE(jac.evaluate(EvalContext(d, p)), f1.evaluate(EvalContext(d, p)) + 1e-12);
   EXPECT_NE(f1.name(), jac.name());
+}
+
+TEST(AreaCoverage, ProtectedSideIsNeverCached) {
+  // The actual side is sweep-invariant and cached; the protected side is
+  // scored once per (point, trial), so it is rasterized per call and
+  // never enters the protected cache.
+  const trace::Dataset d = testutil::two_stop_dataset(3);
+  const trace::Dataset p = lppm::GeoIndistinguishability(0.01).protect_dataset(d, 7);
+  const auto actual_cache = std::make_shared<ArtifactCache>();
+  const auto protected_cache = std::make_shared<ArtifactCache>();
+  const EvalContext ctx(d, p, actual_cache, protected_cache);
+  (void)AreaCoverage(115.0, AreaCoverage::Flavor::kF1).evaluate(ctx);
+  (void)AreaCoverage(115.0, AreaCoverage::Flavor::kJaccard).evaluate(ctx);
+  EXPECT_EQ(protected_cache->size(), 0u);
+  EXPECT_EQ(protected_cache->stats().misses, 0u);
+  EXPECT_EQ(protected_cache->stats().hits, 0u);
+
+  // One actual "coverage" entry per user, built by the first flavour and
+  // hit by the second; asking for them again builds nothing.
+  EXPECT_EQ(actual_cache->size(), d.size());
+  EXPECT_EQ(actual_cache->stats().misses, d.size());
+  EXPECT_EQ(actual_cache->stats().hits, d.size());
+  const geo::Grid grid(115.0);
+  for (std::size_t u = 0; u < d.size(); ++u) {
+    EXPECT_EQ(*coverage_artifact(ctx, Side::kActual, u, 115.0),
+              grid.covered_cells(d[u].xs(), d[u].ys()));
+  }
+  EXPECT_EQ(actual_cache->stats().misses, d.size());
+}
+
+TEST(AreaCoverage, MatchesSetReferenceAcrossEpsilon) {
+  // From ε = 1e-4, where most protected events land in a cell of their
+  // own, to ε = 1, where the trace keeps its actual cells: both flavours,
+  // cached or not, are bit-equal to the score of two covered_cells sets.
+  synth::TaxiScenarioConfig cfg;
+  cfg.driver_count = 4;
+  cfg.taxi.shift_duration_s = 3 * 3600;
+  const trace::Dataset d = synth::make_taxi_dataset(cfg, 2016);
+  const geo::Grid grid(115.0);
+  const AreaCoverage f1(115.0, AreaCoverage::Flavor::kF1);
+  const AreaCoverage jac(115.0, AreaCoverage::Flavor::kJaccard);
+  const auto actual_cache = std::make_shared<ArtifactCache>();
+  for (const double eps : {1e-4, 1e-3, 1e-2, 1e-1, 1.0}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const trace::Dataset p = lppm::GeoIndistinguishability(eps).protect_dataset(d, seed);
+      const EvalContext uncached(d, p);
+      const EvalContext cached(d, p, actual_cache, std::make_shared<ArtifactCache>());
+      for (std::size_t u = 0; u < d.size(); ++u) {
+        const geo::CellSet a = grid.covered_cells(d[u].xs(), d[u].ys());
+        const geo::CellSet b = grid.covered_cells(p[u].xs(), p[u].ys());
+        // The regime where a set reserved for a quarter of the events
+        // has to grow.
+        if (eps == 1e-4) {
+          EXPECT_GT(4 * b.size(), p[u].size()) << u;
+        }
+        for (const EvalContext* ctx : {&uncached, &cached}) {
+          EXPECT_EQ(f1.evaluate_trace(*ctx, u), geo::f1_score(a, b))
+              << "eps " << eps << " seed " << seed << " user " << u;
+          EXPECT_EQ(jac.evaluate_trace(*ctx, u), geo::jaccard(a, b))
+              << "eps " << eps << " seed " << seed << " user " << u;
+        }
+      }
+    }
+  }
 }
 
 TEST(AreaCoverage, RejectsBadCellSize) {

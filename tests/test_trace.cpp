@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "test_util.h"
 #include "trace/dataset.h"
 #include "trace/features.h"
+#include "trace/store.h"
 #include "trace/trace.h"
 
 namespace locpriv::trace {
@@ -78,6 +80,22 @@ TEST(Dataset, AddAndFind) {
   EXPECT_EQ(d.find("a")->user_id(), "a");
   EXPECT_EQ(d.find("zzz"), nullptr);
   EXPECT_THROW(d.add(Trace("a")), std::invalid_argument);
+
+  // The check still sees the first id after many adds.
+  for (int i = 0; i < 1000; ++i) d.add(Trace("u" + std::to_string(i)));
+  EXPECT_THROW(d.add(Trace("a")), std::invalid_argument);
+  EXPECT_EQ(d.size(), 1002u);
+
+  // An arena-backed dataset knows the ids its arena brought.
+  Dataset arena(TraceStore::from_dataset(d));
+  ASSERT_TRUE(arena.columnar());
+  EXPECT_THROW(arena.add(Trace("b")), std::invalid_argument);
+  EXPECT_THROW(arena.add(Trace("u999")), std::invalid_argument);
+  arena.add(Trace("c", {{0, {2, 2}}}));
+  EXPECT_EQ(arena.size(), 1003u);
+  ASSERT_NE(arena.find("c"), nullptr);
+  EXPECT_EQ(arena.find("c")->user_id(), "c");
+  EXPECT_THROW(arena.add(Trace("c")), std::invalid_argument);
 }
 
 TEST(Dataset, TotalEventsAndBounds) {
