@@ -81,12 +81,19 @@ std::unique_ptr<FaultPlan> make_fault_plan(const GatewayConfig& cfg) {
   return std::make_unique<FaultPlan>(cfg.faults, fault_seed);
 }
 
-void validate_lanes(const GatewayConfig& cfg) {
+// Sessions are built inside submit(), on each user's first report, so
+// a budget no session can be built with must fail here instead.
+void validate_config(const GatewayConfig& cfg) {
   if (cfg.workers == 0) {
     throw std::invalid_argument("Gateway: need at least one lane (workers >= 1)");
   }
   if (cfg.queue_capacity == 0) {
     throw std::invalid_argument("Gateway: queue_capacity must be >= 1");
+  }
+  if (!(cfg.epsilon > 0.0)) throw std::invalid_argument("Gateway: epsilon must be > 0");
+  if (!(cfg.budget_eps > 0.0)) throw std::invalid_argument("Gateway: budget_eps must be > 0");
+  if (cfg.budget_window_s <= 0) {
+    throw std::invalid_argument("Gateway: budget_window_s must be > 0");
   }
 }
 
@@ -98,7 +105,7 @@ Gateway::Gateway(const GatewayConfig& cfg, Sink sink)
 Gateway::Gateway(const GatewayConfig& cfg, SessionManager::SessionFactory factory, Sink sink)
     : cfg_(cfg), sink_(std::move(sink)) {
   if (!sink_) throw std::invalid_argument("Gateway: sink must be callable");
-  validate_lanes(cfg_);
+  validate_config(cfg_);
   cfg_.resilience.validate();
   // ε histogram sized to the budget: spend can never legitimately
   // exceed it, so overflow in the ε histogram would itself be a bug
@@ -198,7 +205,7 @@ void Gateway::drain() {
 void Gateway::reload(const GatewayConfig& next, SessionManager::SessionFactory factory) {
   GatewayConfig cfg = next;
   cfg.sessions = cfg_.sessions;  // the live SessionManager keeps its config
-  validate_lanes(cfg);
+  validate_config(cfg);
   cfg.resilience.validate();
   // Build everything that can throw before touching any state: an
   // invalid ObjectiveSpec, an unknown metric or a bad fault spec throws

@@ -129,7 +129,8 @@ class Gateway {
   using Sink = std::function<void(const ProtectedReport&)>;
 
   /// Gateway with the default budgeted Geo-I session per user. Throws
-  /// std::invalid_argument when `workers` or `queue_capacity` is 0.
+  /// std::invalid_argument when `workers` or `queue_capacity` is 0, or
+  /// `epsilon`, `budget_eps` or `budget_window_s` is not positive.
   Gateway(const GatewayConfig& cfg, Sink sink);
   /// Gateway with a custom per-user session factory (any streaming LPPM).
   Gateway(const GatewayConfig& cfg, SessionManager::SessionFactory factory, Sink sink);

@@ -1,11 +1,25 @@
 // Per-user session store of the serving gateway.
 //
-// One table per gateway: a map from user id to StreamSession plus one
-// LRU list, under one mutex and one cap. Sessions are created lazily on
-// a user's first report and reclaimed two ways: idle eviction (no report
-// for idle_timeout_s of stream time) and capacity eviction (the table
-// grows past max_sessions — the gateway's least-recently-active user
-// goes first).
+// One table per gateway: user id -> StreamSession plus one LRU order,
+// under one mutex and one cap. Sessions are created lazily on a user's
+// first report and reclaimed two ways: idle eviction (no report for
+// idle_timeout_s of stream time) and capacity eviction (the table
+// would grow past max_sessions — the gateway's least-recently-active
+// user goes first).
+//
+// The table is flat. Each live user is one 64-byte Record in a dense
+// array (id string, hash tag, last report time, LRU links, session
+// pointer); evicted records go on a free list and are reused. An
+// open-addressed index (linear probing, power-of-two size, load at most
+// 1/2) maps a user to its record: each 8-byte entry packs the low 32
+// bits of stable_hash64(user) as a tag above record id + 1, 0 meaning
+// empty. A probe compares tags and reads a record only on a tag match;
+// an entry's home slot comes from its tag (Fibonacci hashing), so
+// deletion (backward shift, no tombstones) and growth never read a
+// record. The LRU order is a doubly linked list through 32-bit record
+// ids. At the cap the table holds exactly max_sessions records and an
+// index of the smallest power of two of slots that keeps its load at
+// or under 1/2.
 //
 // Eviction destroys budget state, so a recreated session starts a fresh
 // ε window. Configure idle_timeout_s >= the budget window (the default
@@ -16,12 +30,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "lppm/online.h"
 #include "trace/event.h"
@@ -98,8 +111,11 @@ class SessionManager {
   /// backwards, an out-of-order feed) is clamped to the previous value
   /// rather than propagated: stateful sessions (ε-budget accounting
   /// above all) require monotone per-user time, and a dirty timestamp
-  /// must degrade gracefully, not crash the gateway. The sanitized value
-  /// is exposed as LockedSession::monotonic_time().
+  /// must degrade gracefully, not crash the gateway. A new user's
+  /// history starts at 0. The sanitized value is exposed as
+  /// LockedSession::monotonic_time(). A factory that throws leaves the
+  /// table unchanged; more than 2^32 - 2 live sessions throw
+  /// std::length_error.
   [[nodiscard]] LockedSession acquire(const std::string& user_id, trace::Timestamp now);
 
   /// Replaces the session factory for sessions created from now on.
@@ -112,21 +128,52 @@ class SessionManager {
   [[nodiscard]] std::size_t session_count() const;
 
  private:
-  struct Entry {
-    std::unique_ptr<lppm::StreamSession> session;
+  /// Record id meaning "none": list ends, the empty free list.
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFU;
+
+  /// One live (or free) user; one cache line.
+  struct alignas(64) Record {
+    std::string user;
     trace::Timestamp last_active = 0;
-    std::list<std::string>::iterator lru_pos;  ///< into lru_
+    std::unique_ptr<lppm::StreamSession> session;  ///< null while free
+    std::uint32_t tag = 0;      ///< low 32 bits of stable_hash64(user)
+    std::uint32_t prev = kNil;  ///< toward the most recent user
+    std::uint32_t next = kNil;  ///< toward the least recent; free-list link
   };
 
-  /// Drops idle/over-capacity sessions; caller holds mutex_.
-  void evict_due(trace::Timestamp now);
+  /// The record holding `user`, or kNil.
+  [[nodiscard]] std::uint32_t find(std::string_view user, std::uint32_t tag) const;
+  /// Links a new user into a free record at the LRU head; throws before
+  /// changing anything if the index or the record array cannot grow.
+  std::uint32_t insert(const std::string& user, std::uint32_t tag,
+                       std::unique_ptr<lppm::StreamSession> session, trace::Timestamp now);
+  /// Unlinks record `id`, destroys its session and frees the record.
+  void evict(std::uint32_t id);
+  /// Evicts idle users, then least-recent users until at most `keep`
+  /// remain (when the table is capped); caller holds mutex_.
+  void evict_due(trace::Timestamp now, std::size_t keep);
+
+  /// Fibonacci hashing of the tag: the top bits of tag · 2^64/φ.
+  [[nodiscard]] std::size_t home(std::uint32_t tag) const {
+    return static_cast<std::size_t>((tag * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  void place(std::uint64_t entry);
+  void unindex(std::uint32_t id);
+  void grow_index();
+  void lru_unlink(std::uint32_t id);
+  void lru_push_front(std::uint32_t id);
 
   SessionManagerConfig cfg_;
   Telemetry* telemetry_;
   mutable std::mutex mutex_;  ///< guards every member below
   SessionFactory factory_;
-  std::unordered_map<std::string, Entry> sessions_;
-  std::list<std::string> lru_;  ///< front = most recently active
+  std::vector<Record> records_;
+  std::vector<std::uint64_t> index_;  ///< tag << 32 | (record id + 1); 0 = empty
+  unsigned shift_;  ///< 64 - log2(index_.size())
+  std::uint32_t head_ = kNil;  ///< most recently active user
+  std::uint32_t tail_ = kNil;  ///< least recently active user
+  std::uint32_t free_ = kNil;  ///< first free record
+  std::size_t live_ = 0;
 };
 
 }  // namespace locpriv::service

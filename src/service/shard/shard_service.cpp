@@ -110,12 +110,22 @@ bool ShardService::fork_shard(std::size_t k) {
     shard_cfg.gateway = cfg_.gateway;
     shard_cfg.dataset_path = cfg_.dataset_path;
     shard_cfg.audit = cfg_.audit;
-    ShardServer server(std::move(shard_cfg), net::Fd(sv[1]));
-    if (!server.start()) {
-      std::fprintf(stderr, "shard %zu: %s\n", k, server.error().c_str());
+    // Never unwind into the caller: this process's copy of the
+    // supervisor would drain and unlink the live service's endpoints.
+    try {
+      ShardServer server(std::move(shard_cfg), net::Fd(sv[1]));
+      if (!server.start()) {
+        std::fprintf(stderr, "shard %zu: %s\n", k, server.error().c_str());
+        ::_exit(1);
+      }
+      server.run();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "shard %zu: %s\n", k, e.what());
+      ::_exit(1);
+    } catch (...) {
+      std::fprintf(stderr, "shard %zu: unknown exception\n", k);
       ::_exit(1);
     }
-    server.run();
     ::_exit(0);
   }
   // Parent.
@@ -447,13 +457,19 @@ pid_t ShardService::spawn(const ShardServiceConfig& cfg, std::string* err) {
   }
   if (pid != 0) return pid;
   // Child: run the whole service; never unwind into the caller.
-  {
+  try {
     ShardService service(cfg);
     if (!service.start()) {
       std::fprintf(stderr, "supervisor: %s\n", service.error().c_str());
       ::_exit(1);
     }
     service.run();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "supervisor: %s\n", e.what());
+    ::_exit(1);
+  } catch (...) {
+    std::fprintf(stderr, "supervisor: unknown exception\n");
+    ::_exit(1);
   }
   ::_exit(0);
 }

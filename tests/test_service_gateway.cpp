@@ -422,6 +422,36 @@ TEST(Gateway, LanesOverlapDownstreamWaits) {
   EXPECT_GE(drain_time(1), std::chrono::milliseconds(80));
 }
 
+TEST(Gateway, RejectsBudgetSettingsNoSessionCanBeBuiltWith) {
+  // Sessions are built on a user's first report; a bad budget setting
+  // must fail at construction, by name, not inside submit().
+  const auto expect_rejected = [](GatewayConfig cfg, const std::string& field) {
+    Capture capture;
+    try {
+      Gateway gateway(cfg, capture.sink());
+      ADD_FAILURE() << field << ": constructed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field + " must be > 0"), std::string::npos) << e.what();
+    }
+    Gateway gateway(small_config(), capture.sink());
+    EXPECT_THROW(gateway.reload(cfg), std::invalid_argument) << field;
+    EXPECT_TRUE(gateway.submit("alice", {0, {0, 0}})) << "the old policy stays in force";
+  };
+  for (const double bad : {0.0, -0.1, std::nan("")}) {
+    GatewayConfig cfg = small_config();
+    cfg.epsilon = bad;
+    expect_rejected(cfg, "epsilon");
+    cfg = small_config();
+    cfg.budget_eps = bad;
+    expect_rejected(cfg, "budget_eps");
+  }
+  for (const trace::Timestamp bad : {0, -60}) {
+    GatewayConfig cfg = small_config();
+    cfg.budget_window_s = bad;
+    expect_rejected(cfg, "budget_window_s");
+  }
+}
+
 TEST(Gateway, FailedReloadKeepsServingTheOldPolicy) {
   Capture capture;
   Gateway gateway(small_config(), capture.sink());

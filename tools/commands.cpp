@@ -712,7 +712,7 @@ int cmd_serve_sim(const Args& args) {
   service::GatewayConfig cfg;
   cfg.workers = parsed.get_count("workers");
   cfg.queue_capacity = parsed.get_count("queue-capacity");
-  cfg.sessions.idle_timeout_s = parsed.get_int("idle-timeout");
+  cfg.sessions.idle_timeout_s = static_cast<trace::Timestamp>(parsed.get_count("idle-timeout"));
   cfg.sessions.max_sessions = parsed.get_count("max-sessions");
   cfg.epsilon = parsed.get_double("epsilon");
   cfg.budget_eps = cfg.epsilon * parsed.get_double("budget-reports");

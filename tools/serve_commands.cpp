@@ -73,7 +73,7 @@ int cmd_serve(const Args& args) {
   gw.workers = parsed.get_count("workers");
   gw.queue_capacity = parsed.get_count("queue-capacity");
   gw.sessions.max_sessions = parsed.get_count("max-sessions");
-  gw.sessions.idle_timeout_s = parsed.get_int("idle-timeout");
+  gw.sessions.idle_timeout_s = static_cast<trace::Timestamp>(parsed.get_count("idle-timeout"));
   gw.epsilon = parsed.get_double("epsilon");
   gw.budget_eps = gw.epsilon * parsed.get_double("budget-reports");
   gw.budget_window_s = parsed.get_int("window");

@@ -88,5 +88,18 @@ STATUS=0
 "$CLI" serve-sim --data "$DIR/data.csv" --workers -1 2> "$DIR/negative.txt" > /dev/null || STATUS=$?
 [ "$STATUS" = 1 ] || { echo "serve-sim --workers -1 exited $STATUS"; exit 1; }
 grep -q "option --workers: '-1' is negative" "$DIR/negative.txt"
+# A negative idle timeout is rejected, not read as "idle eviction off".
+STATUS=0
+"$CLI" serve-sim --data "$DIR/data.csv" --idle-timeout -5 2> "$DIR/negative_idle.txt" \
+  > /dev/null || STATUS=$?
+[ "$STATUS" = 1 ] || { echo "serve-sim --idle-timeout -5 exited $STATUS"; exit 1; }
+grep -q "option --idle-timeout: '-5' is negative" "$DIR/negative_idle.txt"
+# A budget window no session can be built with fails at start-up, not
+# in each shard on its first report.
+STATUS=0
+timeout 30 "$CLI" serve --listen "unix:$DIR/bad-window.sock" --shards 2 --window 0 \
+  > /dev/null 2> "$DIR/bad_window.txt" || STATUS=$?
+[ "$STATUS" = 1 ] || { echo "serve --window 0 exited $STATUS"; exit 1; }
+grep -q "budget_window_s must be > 0" "$DIR/bad_window.txt"
 
 echo "cli workflow OK"
