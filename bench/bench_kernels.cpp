@@ -18,12 +18,6 @@
 //   grid_vs_kdtree fixed-radius query microbenchmark: queries/sec of the
 //                  KdTree vector form against the GridIndex vector,
 //                  visitor, and count forms on the same point set.
-//   optimal        the optimal geo-ind mechanism (PR 9): exact dense LP
-//                  build vs the delta-spanner-pruned build on a 400-cell
-//                  grid (the >= 5x headline), alias-table serving
-//                  throughput vs planar Laplace, a small Pr/Ut frontier
-//                  at shared epsilons, and sweep bit-identity across
-//                  thread counts.
 //   evaluate_point trial-parallel scaling of the flattened (point, trial)
 //                  scheduler, 1 vs 8 threads. The headline number uses a
 //                  latency-bound mechanism (a simulated protection-service
@@ -53,9 +47,6 @@
 #include "io/args.h"
 #include "io/json.h"
 #include "io/table.h"
-#include "lppm/optimal_geo_ind.h"
-#include "lppm/optimal_matrix.h"
-#include "lppm/registry.h"
 #include "poi/djcluster.h"
 #include "geo/grid.h"
 #include "geo/polyline.h"
@@ -614,163 +605,6 @@ io::JsonObject bench_evaluate_point(bool smoke, double& scaling_out, bool& ident
   return out;
 }
 
-// -------------------------------------------------------------- optimal
-
-/// Regular cols x rows grid of cell centers spanning [-half, half]^2 —
-/// the same geometry OptimalGeoInd derives from cell_size/half_extent.
-std::vector<geo::Point> optimal_grid_centers(std::size_t side, double cell, double half) {
-  std::vector<geo::Point> centers;
-  centers.reserve(side * side);
-  for (std::size_t r = 0; r < side; ++r) {
-    for (std::size_t c = 0; c < side; ++c) {
-      centers.push_back({(static_cast<double>(c) + 0.5) * cell - half,
-                         (static_cast<double>(r) + 0.5) * cell - half});
-    }
-  }
-  return centers;
-}
-
-/// Synthetic serving workload: timestamps strictly increasing, points
-/// uniform over the served box.
-trace::Trace serving_trace(std::size_t events, double half, std::uint64_t seed) {
-  stats::Rng rng(seed);
-  std::vector<trace::Event> ev;
-  ev.reserve(events);
-  for (std::size_t i = 0; i < events; ++i) {
-    ev.push_back({static_cast<trace::Timestamp>(i),
-                  {rng.uniform(-half, half), rng.uniform(-half, half)}});
-  }
-  return trace::Trace("bench", std::move(ev));
-}
-
-io::JsonObject bench_optimal(bool smoke, double& speedup_out, bool& identical_out,
-                             io::Table& table) {
-  // Full preset: the 400-cell grid the >= 5x spanner claim is made on
-  // (20 x 20 cells of 500 m over a 5 km half-extent at eps = 0.002/m,
-  // delta = 1.1). Smoke shrinks the grid; the exact path's O(n^3) per
-  // iteration shrinks faster than the spanner's, so the smoke ratio is
-  // informative but only the full ratio carries the headline gate.
-  const std::size_t side = smoke ? 10 : 20;
-  const double cell = smoke ? 1000.0 : 500.0;
-  const double half = 5000.0;
-  const double epsilon = 0.002;
-  const double delta = 1.1;
-  const std::vector<geo::Point> centers = optimal_grid_centers(side, cell, half);
-
-  lppm::OptimalMatrixConfig exact_cfg;
-  exact_cfg.epsilon = epsilon;
-  exact_cfg.delta = 1.0;
-  const auto s_exact = Clock::now();
-  const lppm::OptimalMatrixResult exact = lppm::build_optimal_matrix(centers, exact_cfg);
-  const double exact_seconds = seconds_since(s_exact);
-
-  lppm::OptimalMatrixConfig spanner_cfg = exact_cfg;
-  spanner_cfg.delta = delta;
-  const auto s_spanner = Clock::now();
-  const lppm::OptimalMatrixResult spanner = lppm::build_optimal_matrix(centers, spanner_cfg);
-  const double spanner_seconds = seconds_since(s_spanner);
-  const double speedup = spanner_seconds > 0.0 ? exact_seconds / spanner_seconds : 0.0;
-
-  // Built-in correctness: both matrices verified feasible at full eps
-  // (margin from the builder's own re-check), the spanner within its
-  // dilation bound, and the pruned build not beating the exact optimum
-  // (it solves a more private problem at eps/delta).
-  const bool feasible = exact.constraint_margin >= -1e-9 && spanner.constraint_margin >= -1e-9 &&
-                        spanner.spanner_dilation <= delta + 1e-12 &&
-                        spanner.expected_loss >= exact.expected_loss - 1e-6;
-
-  // Serving throughput: one alias draw per event vs one planar-Laplace
-  // draw, same epsilon, same workload.
-  const std::size_t events = smoke ? 20'000 : 200'000;
-  const trace::Trace workload = serving_trace(events, half, 99);
-  lppm::OptimalGeoInd optimal_mech(epsilon, delta);
-  optimal_mech.set_parameter(lppm::OptimalGeoInd::kCellSize, cell);
-  optimal_mech.set_parameter(lppm::OptimalGeoInd::kHalfExtent, half);
-  (void)optimal_mech.protect(workload, 1);  // plan build outside the timing
-  const auto s_opt = Clock::now();
-  const trace::Trace opt_out = optimal_mech.protect(workload, 2);
-  const double optimal_serve_seconds = seconds_since(s_opt);
-
-  const std::unique_ptr<lppm::Mechanism> laplace = lppm::create_mechanism("geo-indistinguishability");
-  laplace->set_parameter("epsilon", epsilon);
-  const auto s_lap = Clock::now();
-  const trace::Trace lap_out = laplace->protect(workload, 2);
-  const double laplace_serve_seconds = seconds_since(s_lap);
-  const bool served = opt_out.size() == events && lap_out.size() == events;
-
-  // Pr/Ut frontier: the optimal mechanism vs planar Laplace through the
-  // same metrics (poi-retrieval Pr, area-coverage Ut) at shared
-  // epsilons. Four drivers, not two: the area-coverage denominator on a
-  // two-driver fleet is small enough that the optimal mechanism's
-  // cell-center reports round it to zero at every epsilon.
-  synth::TaxiScenarioConfig scenario;
-  scenario.driver_count = 4;
-  scenario.taxi.shift_duration_s = 3600;
-  const trace::Dataset frontier_data = synth::make_taxi_dataset(scenario, 2016);
-  core::SystemDefinition laplace_def = core::make_geo_i_system(2);
-  core::SystemDefinition optimal_def = core::make_geo_i_system(2);
-  optimal_def.mechanism_factory = [] { return lppm::create_mechanism("optimal-geo-ind"); };
-  io::JsonArray frontier;
-  for (const double eps : {1e-3, 5e-3, 2e-2}) {
-    const core::SweepPoint opt_pt = core::evaluate_point(optimal_def, frontier_data, eps, 2, 7);
-    const core::SweepPoint lap_pt = core::evaluate_point(laplace_def, frontier_data, eps, 2, 7);
-    io::JsonObject row;
-    row["epsilon"] = eps;
-    row["optimal_privacy"] = opt_pt.privacy_mean;
-    row["optimal_utility"] = opt_pt.utility_mean;
-    row["laplace_privacy"] = lap_pt.privacy_mean;
-    row["laplace_utility"] = lap_pt.utility_mean;
-    frontier.push_back(io::JsonValue(row));
-  }
-
-  // Thread-count bit-identity of a sweep over the optimal mechanism —
-  // the memcmp gate behind the "deterministic build" claim.
-  const ScalingRun sweep_run = time_evaluate_point(optimal_def, frontier_data, smoke ? 4 : 8);
-
-  identical_out = feasible && served && sweep_run.bit_identical;
-  speedup_out = speedup;
-
-  table.add_row({"optimal LP build (" + std::to_string(centers.size()) + " cells, d=1.1)",
-                 io::Table::num(exact_seconds, 4) + " s", io::Table::num(spanner_seconds, 4) + " s",
-                 io::Table::num(speedup, 2) + "x", identical_out ? "yes" : "NO"});
-  table.add_row({"optimal serve vs laplace",
-                 io::Table::num(static_cast<double>(events) / laplace_serve_seconds / 1e6, 3) +
-                     " Mdraw/s",
-                 io::Table::num(static_cast<double>(events) / optimal_serve_seconds / 1e6, 3) +
-                     " Mdraw/s",
-                 io::Table::num(laplace_serve_seconds / optimal_serve_seconds, 2) + "x",
-                 served ? "yes" : "NO"});
-
-  io::JsonObject out;
-  out["cells"] = centers.size();
-  out["epsilon"] = epsilon;
-  out["delta"] = delta;
-  out["exact_build_seconds"] = exact_seconds;
-  out["spanner_build_seconds"] = spanner_seconds;
-  out["spanner_speedup"] = speedup;
-  out["spanner_edges"] = spanner.spanner_edges;
-  out["spanner_dilation"] = spanner.spanner_dilation;
-  out["exact_loss"] = exact.expected_loss;
-  out["spanner_loss"] = spanner.expected_loss;
-  out["feasible"] = feasible;
-  io::JsonObject serve;
-  serve["events"] = events;
-  serve["optimal_seconds"] = optimal_serve_seconds;
-  serve["optimal_draws_per_s"] = static_cast<double>(events) / optimal_serve_seconds;
-  serve["laplace_seconds"] = laplace_serve_seconds;
-  serve["laplace_draws_per_s"] = static_cast<double>(events) / laplace_serve_seconds;
-  out["serve"] = serve;
-  out["frontier"] = frontier;
-  io::JsonObject sweep;
-  sweep["t1_seconds"] = sweep_run.t1_seconds;
-  sweep["t8_seconds"] = sweep_run.t8_seconds;
-  sweep["scaling"] = sweep_run.scaling;
-  sweep["bit_identical"] = sweep_run.bit_identical;
-  out["sweep"] = sweep;
-  out["bit_identical"] = identical_out;
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -802,13 +636,12 @@ int main(int argc, char** argv) {
             << std::thread::hardware_concurrency() << " visible cores)\n\n";
   io::Table table({"section", "baseline", "optimized", "ratio", "bit-identical"});
 
-  double dj_speedup = 0.0, ep_scaling = 0.0, col_speedup = 0.0, opt_speedup = 0.0;
-  bool dj_identical = false, ep_identical = false, col_identical = false, opt_identical = false;
+  double dj_speedup = 0.0, ep_scaling = 0.0, col_speedup = 0.0;
+  bool dj_identical = false, ep_identical = false, col_identical = false;
   const io::JsonObject dj = bench_djcluster(dj_points, dj_speedup, dj_identical, table);
   const io::JsonObject col = bench_columnar(dj_points, col_speedup, col_identical, table);
   const io::JsonObject storage = bench_storage(smoke ? 4 : 16, table);
   const io::JsonObject micro = bench_grid_vs_kdtree(micro_points, table);
-  const io::JsonObject opt = bench_optimal(smoke, opt_speedup, opt_identical, table);
   const io::JsonObject ep = bench_evaluate_point(smoke, ep_scaling, ep_identical, table);
   table.print(std::cout);
 
@@ -820,8 +653,8 @@ int main(int argc, char** argv) {
     const auto it = storage.find("bit_identical");
     return it != storage.end() && it->second.is_bool() && it->second.as_bool();
   }();
-  const bool all_identical = dj_identical && ep_identical && micro_agree && col_identical &&
-                             storage_identical && opt_identical;
+  const bool all_identical =
+      dj_identical && ep_identical && micro_agree && col_identical && storage_identical;
 
   io::JsonObject out;
   out["bench"] = std::string("kernels");
@@ -831,17 +664,14 @@ int main(int argc, char** argv) {
   out["columnar"] = col;
   out["storage"] = storage;
   out["grid_vs_kdtree"] = micro;
-  out["optimal"] = opt;
   out["evaluate_point"] = ep;
   out["djcluster_speedup"] = dj_speedup;
   out["columnar_speedup"] = col_speedup;
-  out["optimal_spanner_speedup"] = opt_speedup;
   out["evaluate_point_scaling"] = ep_scaling;
   out["bit_identical"] = all_identical;
   io::write_json_file(args.get("out"), io::JsonValue(out));
   std::cout << "\nwrote " << args.get("out") << " (djcluster " << io::Table::num(dj_speedup, 2)
-            << "x, columnar " << io::Table::num(col_speedup, 2) << "x, optimal spanner "
-            << io::Table::num(opt_speedup, 2)
+            << "x, columnar " << io::Table::num(col_speedup, 2)
             << "x, evaluate_point latency-bound scaling " << io::Table::num(ep_scaling, 2)
             << "x)\n";
   if (!all_identical) {

@@ -4,6 +4,9 @@
 // and report the fitted invertible model per mechanism.
 #include <iostream>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/loglinear_model.h"
@@ -35,8 +38,11 @@ int main() {
       {"promesse", "alpha", 10.0, 5'000.0, false},
   };
 
-  io::Table table({"mechanism", "parameter", "Pr slope", "Pr R^2", "Ut slope", "Ut R^2",
-                   "valid range", "tradeoff AUC", "slope sign"});
+  // Rows wait for every sweep: the AUCs are scored in one frame, the
+  // union of all the sweeps' points, so the column ranks mechanisms.
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::vector<core::TradeoffPoint>> curves;
+  std::vector<std::size_t> curve_rows;
   bool all_signs_ok = true;
   for (const Target& t : targets) {
     core::SystemDefinition def;
@@ -50,29 +56,36 @@ int main() {
     cfg.trials = 2;
     try {
       const core::SweepResult sweep = core::run_sweep(def, data, cfg);
+      // Scored even if the fit throws: the error row takes this index.
+      curves.push_back(core::to_tradeoff_points(sweep));
+      curve_rows.push_back(rows.size());
       const core::LppmModel model = core::fit_loglinear_model(sweep);
       const bool sign_ok =
           (model.privacy.fit.slope > 0.0) == t.privacy_increases_with_param;
       all_signs_ok = all_signs_ok && sign_ok;
-      // Trade-off quality across the whole sweep, one number per mechanism.
-      std::string auc = "-";
-      try {
-        auc = io::Table::num(core::tradeoff_auc(core::to_tradeoff_points(sweep)), 3);
-      } catch (const std::exception&) {
-        // degenerate spread (a metric flat over the sweep): leave "-"
-      }
-      table.add_row({t.mechanism, t.parameter, io::Table::num(model.privacy.fit.slope, 3),
-                     io::Table::num(model.privacy.fit.r_squared, 3),
-                     io::Table::num(model.utility.fit.slope, 3),
-                     io::Table::num(model.utility.fit.r_squared, 3),
-                     "[" + io::Table::num(model.param_low, 2) + ", " +
-                         io::Table::num(model.param_high, 2) + "]",
-                     auc, sign_ok ? "ok" : "UNEXPECTED"});
+      rows.push_back({t.mechanism, t.parameter, io::Table::num(model.privacy.fit.slope, 3),
+                      io::Table::num(model.privacy.fit.r_squared, 3),
+                      io::Table::num(model.utility.fit.slope, 3),
+                      io::Table::num(model.utility.fit.r_squared, 3),
+                      "[" + io::Table::num(model.param_low, 2) + ", " +
+                          io::Table::num(model.param_high, 2) + "]",
+                      "-", sign_ok ? "ok" : "UNEXPECTED"});
     } catch (const std::exception& e) {
-      table.add_row({t.mechanism, t.parameter, "-", "-", "-", "-", e.what(), "-", "-"});
+      rows.push_back({t.mechanism, t.parameter, "-", "-", "-", "-", e.what(), "-", "-"});
       all_signs_ok = false;
     }
   }
+  try {
+    const std::vector<double> auc = core::tradeoff_auc(curves);
+    for (std::size_t i = 0; i < auc.size(); ++i) {
+      rows[curve_rows[i]][7] = io::Table::num(auc[i], 3);
+    }
+  } catch (const std::invalid_argument&) {
+    // no sweep ran, or all are flat on one axis: no frame, AUCs stay "-"
+  }
+  io::Table table({"mechanism", "parameter", "Pr slope", "Pr R^2", "Ut slope", "Ut R^2",
+                   "valid range", "tradeoff AUC", "slope sign"});
+  for (std::vector<std::string>& row : rows) table.add_row(std::move(row));
   table.print(std::cout);
 
   std::cout << "\nreading: each mechanism gets its own invertible (Pr, Ut) = f(ln p) model\n"

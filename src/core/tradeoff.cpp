@@ -38,43 +38,42 @@ std::vector<TradeoffPoint> pareto_front(std::vector<TradeoffPoint> points) {
   return front;
 }
 
-double tradeoff_auc(const std::vector<TradeoffPoint>& points) {
-  if (points.size() < 2) throw std::invalid_argument("tradeoff_auc: need at least 2 points");
-  double pr_lo = points[0].privacy_goodness;
-  double pr_hi = pr_lo;
-  double ut_lo = points[0].utility_goodness;
-  double ut_hi = ut_lo;
-  for (const TradeoffPoint& p : points) {
-    pr_lo = std::min(pr_lo, p.privacy_goodness);
-    pr_hi = std::max(pr_hi, p.privacy_goodness);
-    ut_lo = std::min(ut_lo, p.utility_goodness);
-    ut_hi = std::max(ut_hi, p.utility_goodness);
+std::vector<double> tradeoff_auc(const std::vector<std::vector<TradeoffPoint>>& curves) {
+  double pr_lo = std::numeric_limits<double>::infinity();
+  double pr_hi = -pr_lo;
+  double ut_lo = pr_lo;
+  double ut_hi = -pr_lo;
+  for (const std::vector<TradeoffPoint>& curve : curves) {
+    if (curve.empty()) throw std::invalid_argument("tradeoff_auc: empty curve");
+    for (const TradeoffPoint& p : curve) {
+      pr_lo = std::min(pr_lo, p.privacy_goodness);
+      pr_hi = std::max(pr_hi, p.privacy_goodness);
+      ut_lo = std::min(ut_lo, p.utility_goodness);
+      ut_hi = std::max(ut_hi, p.utility_goodness);
+    }
   }
   if (!(pr_hi > pr_lo) || !(ut_hi > ut_lo)) {
     throw std::invalid_argument("tradeoff_auc: zero spread on an axis");
   }
-
-  std::vector<TradeoffPoint> front = pareto_front(points);
-  // Normalize and integrate privacy over utility by the trapezoid rule,
-  // treating the front as a step-down curve extended to the [0, 1] edges
-  // (privacy of the best-privacy point holds down to utility 0; beyond
-  // the last front point privacy is 0).
   auto norm_pr = [&](double v) { return (v - pr_lo) / (pr_hi - pr_lo); };
   auto norm_ut = [&](double v) { return (v - ut_lo) / (ut_hi - ut_lo); };
 
-  double area = 0.0;
-  double prev_ut = 0.0;
-  double prev_pr = norm_pr(front.front().privacy_goodness);  // best privacy extends left
-  for (const TradeoffPoint& p : front) {
-    const double ut = norm_ut(p.utility_goodness);
-    const double pr = norm_pr(p.privacy_goodness);
-    // Step curve: privacy level prev_pr holds over [prev_ut, ut].
-    area += (ut - prev_ut) * prev_pr;
-    prev_ut = ut;
-    prev_pr = pr;
+  std::vector<double> areas;
+  areas.reserve(curves.size());
+  for (const std::vector<TradeoffPoint>& curve : curves) {
+    // The front ascends in utility and descends in privacy, so the best
+    // privacy reachable at utility u is that of the first front point at
+    // or beyond u: a step curve, 0 past the last point.
+    double area = 0.0;
+    double prev_ut = 0.0;
+    for (const TradeoffPoint& p : pareto_front(curve)) {
+      const double ut = norm_ut(p.utility_goodness);
+      area += (ut - prev_ut) * norm_pr(p.privacy_goodness);
+      prev_ut = ut;
+    }
+    areas.push_back(area);
   }
-  area += (1.0 - prev_ut) * prev_pr;  // tail to utility 1 at the last level
-  return area;
+  return areas;
 }
 
 }  // namespace locpriv::core

@@ -2,7 +2,7 @@
 //
 // A sweep produces a cloud of (Pr, Ut) operating points; the Pareto
 // front is the subset no other point dominates, and the normalized area
-// under that front is a single-number quality score for a mechanism's
+// the front dominates is a single-number quality score for a mechanism's
 // trade-off curve — the basis for mechanism-vs-mechanism comparison
 // beyond single operating points.
 #pragma once
@@ -30,10 +30,14 @@ struct TradeoffPoint {
 /// and > in one), sorted by ascending utility_goodness.
 [[nodiscard]] std::vector<TradeoffPoint> pareto_front(std::vector<TradeoffPoint> points);
 
-/// Area under the Pareto front after min-max normalizing both axes over
-/// `points` (not just the front). In [0, 1]; higher = a better overall
-/// trade-off curve. Requires >= 2 points with nonzero spread on both
-/// axes; throws std::invalid_argument otherwise.
-[[nodiscard]] double tradeoff_auc(const std::vector<TradeoffPoint>& points);
+/// One area per curve, all in one frame: both axes min-max normalized
+/// over the union of every curve's points. A curve's area is the part
+/// of the unit square its Pareto front dominates, so a curve that
+/// another dominates at every privacy level scores no higher, however
+/// narrow its own range. In [0, 1]; higher = a better trade-off. Throws
+/// std::invalid_argument on an empty curve or when the union has no
+/// spread on an axis.
+[[nodiscard]] std::vector<double> tradeoff_auc(
+    const std::vector<std::vector<TradeoffPoint>>& curves);
 
 }  // namespace locpriv::core

@@ -61,8 +61,8 @@ class Mechanism {
   /// True when protect() ignores its seed — the output is a pure
   /// function of (input, parameters). Deterministic mechanisms (grid
   /// cloaking, path simplification, ...) declare it by overriding;
-  /// anything sampling randomness (planar Laplace, the alias-served
-  /// optimal mechanism, dropout, ...) keeps the default. Tools use this
+  /// anything sampling randomness (planar Laplace, Gaussian noise,
+  /// dropout, ...) keeps the default. Tools use this
   /// flag instead of guessing from behavior: `locpriv list-mechanisms`
   /// tags each entry, and the registry conformance test asserts the
   /// flag matches observed seed-sensitivity, so a stochastic mechanism

@@ -9,7 +9,6 @@
 #include "lppm/geo_ind.h"
 #include "lppm/grid_cloaking.h"
 #include "lppm/noop.h"
-#include "lppm/optimal_geo_ind.h"
 #include "lppm/promesse.h"
 #include "lppm/simplification.h"
 #include "lppm/temporal_cloaking.h"
@@ -24,7 +23,6 @@ const std::map<std::string, Factory>& factories() {
       {"geo-indistinguishability", [] { return std::make_unique<GeoIndistinguishability>(); }},
       {"gaussian-perturbation", [] { return std::make_unique<GaussianPerturbation>(); }},
       {"grid-cloaking", [] { return std::make_unique<GridCloaking>(); }},
-      {"optimal-geo-ind", [] { return std::make_unique<OptimalGeoInd>(); }},
       {"temporal-cloaking", [] { return std::make_unique<TemporalCloaking>(); }},
       {"promesse", [] { return std::make_unique<Promesse>(); }},
       {"release-dropout", [] { return std::make_unique<ReleaseDropout>(); }},

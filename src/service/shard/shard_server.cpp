@@ -22,6 +22,24 @@ constexpr std::size_t kBacklogLowWater = 1u << 18;
 
 }  // namespace
 
+GatewayConfig apply_reload_spec(GatewayConfig current, const std::string& text) {
+  if (text.empty()) return current;
+  const io::JsonValue spec = io::parse_json(text);
+  if (spec.contains("faults")) {
+    const std::string& faults = spec.at("faults").as_string();
+    current.faults = faults.empty() ? FaultSpec{} : parse_fault_spec(faults);
+  }
+  if (spec.contains("objectives")) {
+    const std::string& objectives = spec.at("objectives").as_string();
+    if (objectives.empty()) {
+      current.objectives.reset();
+    } else {
+      current.objectives = adaptive::parse_objective_spec(objectives);
+    }
+  }
+  return current;
+}
+
 ShardServer::ShardServer(ShardServerConfig cfg, net::Fd control) : cfg_(std::move(cfg)) {
   net::ignore_sigpipe();
   if (control.valid()) {
@@ -277,23 +295,9 @@ void ShardServer::finish_drain() {
 
 void ShardServer::handle_reload(Conn& conn, const net::Frame& frame) {
   const std::string text(frame.payload.begin(), frame.payload.end());
-  GatewayConfig next = cfg_.gateway;
+  GatewayConfig next;
   try {
-    if (!text.empty()) {
-      const io::JsonValue spec = io::parse_json(text);
-      if (spec.contains("faults")) {
-        const std::string& fault_spec = spec.at("faults").as_string();
-        next.faults = fault_spec.empty() ? FaultSpec{} : parse_fault_spec(fault_spec);
-      }
-      if (spec.contains("objectives")) {
-        const std::string& objective_spec = spec.at("objectives").as_string();
-        if (objective_spec.empty()) {
-          next.objectives.reset();
-        } else {
-          next.objectives = adaptive::parse_objective_spec(objective_spec);
-        }
-      }
-    }
+    next = apply_reload_spec(cfg_.gateway, text);
     // Sessions (and their ε budgets) survive — only the policy for new
     // sessions, the fault schedule and the resilience plumbing change.
     // A reload that throws (an unknown metric, say) leaves the old
@@ -304,7 +308,7 @@ void ShardServer::handle_reload(Conn& conn, const net::Frame& frame) {
     flush(conn);
     return;
   }
-  cfg_.gateway = next;
+  cfg_.gateway = std::move(next);
 
   io::JsonObject reply;
   reply["shard"] = cfg_.shard_index;

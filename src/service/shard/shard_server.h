@@ -60,6 +60,13 @@ struct ShardServerConfig {
   bool audit = false;
 };
 
+/// Reads a reload spec, {"faults": "<spec>", "objectives": "<spec>"},
+/// into `current`: an absent key keeps its value, an empty string
+/// clears it, anything else goes through parse_fault_spec /
+/// adaptive::parse_objective_spec. Empty text changes nothing. Throws
+/// on malformed JSON or a spec that does not parse.
+[[nodiscard]] GatewayConfig apply_reload_spec(GatewayConfig current, const std::string& text);
+
 class ShardServer {
  public:
   /// `control` is the framed socketpair end to the supervisor; invalid

@@ -23,6 +23,13 @@ namespace {
 
 constexpr int kWatchedSignals[] = {SIGTERM, SIGINT, SIGHUP, SIGCHLD};
 
+/// How a reaped child ended, from the status of a waitpid without
+/// WUNTRACED: it either exited or was killed by a signal.
+std::string exit_cause(int status) {
+  if (WIFEXITED(status)) return "exited with status " + std::to_string(WEXITSTATUS(status));
+  return "killed by signal " + std::to_string(WTERMSIG(status));
+}
+
 }  // namespace
 
 ShardService::ShardService(ShardServiceConfig cfg) : cfg_(std::move(cfg)) {
@@ -135,10 +142,11 @@ bool ShardService::fork_shard(std::size_t k) {
 
   net::Frame ready;
   if (!procs_[k].control.recv(ready) || ready.type != net::FrameType::kReady) {
-    error_ = "supervisor: shard " + std::to_string(k) +
-             " died before ready: " + procs_[k].control.error();
     int status = 0;
-    (void)::waitpid(pid, &status, 0);
+    const std::string cause = ::waitpid(pid, &status, 0) == pid
+                                  ? exit_cause(status)
+                                  : net::errno_message("waitpid");
+    error_ = "supervisor: shard " + std::to_string(k) + " died before ready: " + cause;
     procs_[k].pid = -1;
     return false;
   }
@@ -190,38 +198,45 @@ void ShardService::handle_signals() {
 }
 
 void ShardService::reload_from_file() {
-  std::string faults_spec;
-  std::string objectives_spec;
+  std::string spec;
   if (!cfg_.reload_file.empty()) {
-    try {
-      const io::JsonValue spec = io::read_json_file(cfg_.reload_file);
-      if (spec.contains("faults")) faults_spec = spec.at("faults").as_string();
-      if (spec.contains("objectives")) objectives_spec = spec.at("objectives").as_string();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "supervisor: reload file: %s\n", e.what());
+    std::ifstream in(cfg_.reload_file, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "supervisor: reload file: cannot open %s\n", cfg_.reload_file.c_str());
       return;
     }
+    std::ostringstream text;
+    text << in.rdbuf();
+    spec = text.str();
   }
-  if (!reload(faults_spec, objectives_spec)) {
+  if (!reload(spec)) {
     std::fprintf(stderr, "supervisor: reload failed: %s\n", error_.c_str());
   }
 }
 
-bool ShardService::reload(const std::string& faults_spec, const std::string& objectives_spec) {
-  io::JsonObject spec;
-  if (!faults_spec.empty()) spec["faults"] = faults_spec;
-  if (!objectives_spec.empty()) spec["objectives"] = objectives_spec;
-  const std::string payload = io::to_json(io::JsonValue(std::move(spec)));
+bool ShardService::reload(const std::string& spec) {
+  GatewayConfig next;
+  try {
+    next = apply_reload_spec(cfg_.gateway, spec);
+  } catch (const std::exception& e) {
+    error_ = std::string("reload rejected: ") + e.what();
+    return false;
+  }
   bool ok = true;
+  bool rejected = false;
   for (std::size_t k = 0; k < procs_.size(); ++k) {
     if (procs_[k].pid < 0) continue;
     std::string reply;
-    if (!procs_[k].control.request(net::FrameType::kReload, payload,
-                                   net::FrameType::kReloadReply, reply)) {
+    if (!procs_[k].control.request(net::FrameType::kReload, spec, net::FrameType::kReloadReply,
+                                   reply)) {
       error_ = "shard " + std::to_string(k) + ": " + procs_[k].control.error();
       ok = false;
+      // A shard that answered is still connected: it rejected the spec.
+      // One whose channel closed died, and re-forks from cfg_.gateway.
+      rejected = rejected || procs_[k].control.connected();
     }
   }
+  if (!rejected) cfg_.gateway = std::move(next);
   return ok;
 }
 
@@ -374,20 +389,7 @@ void ShardService::dispatch(ClientConn& conn, const net::Frame& frame) {
       break;
     }
     case net::FrameType::kReload: {
-      std::string faults_spec;
-      std::string objectives_spec;
-      try {
-        const std::string text(frame.payload.begin(), frame.payload.end());
-        if (!text.empty()) {
-          const io::JsonValue spec = io::parse_json(text);
-          if (spec.contains("faults")) faults_spec = spec.at("faults").as_string();
-          if (spec.contains("objectives")) objectives_spec = spec.at("objectives").as_string();
-        }
-      } catch (const std::exception& e) {
-        send(conn, net::FrameType::kError, std::string("reload rejected: ") + e.what());
-        break;
-      }
-      if (reload(faults_spec, objectives_spec)) {
+      if (reload(std::string(frame.payload.begin(), frame.payload.end()))) {
         io::JsonObject reply;
         reply["shards"] = cfg_.shards;
         send(conn, net::FrameType::kReloadReply, io::to_json(io::JsonValue(std::move(reply))));

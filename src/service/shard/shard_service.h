@@ -43,9 +43,9 @@ struct ShardServiceConfig {
   /// page cache); shards then map without verification.
   std::string dataset_path;
   bool audit = false;
-  /// JSON file re-read on SIGHUP: {"faults": "<spec>", "objectives":
-  /// "<spec>"} — absent keys keep the current value, empty strings
-  /// clear. Empty path = SIGHUP pushes an empty (no-op) reload.
+  /// Reload spec re-read on SIGHUP (see apply_reload_spec: absent keys
+  /// keep the current value, empty strings clear). Empty path = SIGHUP
+  /// pushes an empty (no-op) reload.
   std::string reload_file;
 };
 
@@ -73,9 +73,11 @@ class ShardService {
   /// children and stops the loop. Idempotent.
   void drain();
 
-  /// Pushes a reload into every live shard. Either spec may be empty =
-  /// keep current. False if any shard rejected it (error() has why).
-  [[nodiscard]] bool reload(const std::string& faults_spec, const std::string& objectives_spec);
+  /// Checks a reload spec (apply_reload_spec) and forwards its text
+  /// unchanged to every live shard. Once no shard has rejected it, it
+  /// is the policy a re-forked shard starts with. False with error()
+  /// set if it does not parse or a shard failed to take it.
+  [[nodiscard]] bool reload(const std::string& spec);
 
   /// Aggregated telemetry: per-shard reports plus summed counters.
   [[nodiscard]] std::string aggregate_telemetry();

@@ -173,10 +173,10 @@ TEST(Dropout, DeclaresLinearScale) {
 
 TEST(Registry, ListsAllMechanisms) {
   const std::vector<std::string> names = mechanism_names();
-  EXPECT_EQ(names.size(), 9u);
+  EXPECT_EQ(names.size(), 8u);
   for (const char* expected :
-       {"geo-indistinguishability", "optimal-geo-ind", "gaussian-perturbation", "grid-cloaking",
-        "temporal-cloaking", "promesse", "release-dropout", "path-simplification", "noop"}) {
+       {"geo-indistinguishability", "gaussian-perturbation", "grid-cloaking", "temporal-cloaking",
+        "promesse", "release-dropout", "path-simplification", "noop"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end()) << expected;
   }
 }

@@ -3,7 +3,8 @@
 // exactly-once drain contract, reload preserving session ε budgets,
 // protocol violations answered with kError + close), arena-backed audit
 // storage, and the multi-process ShardService supervisor (shard map,
-// aggregated telemetry, crash + restart + client re-route, drain).
+// aggregated telemetry, crash + restart + client re-route, reloads
+// that clear a policy and outlive a re-fork, drain).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -23,6 +24,7 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/stream.h"
+#include "service/resilience/fault_plan.h"
 #include "service/shard/shard_server.h"
 #include "service/shard/shard_service.h"
 #include "trace/dataset.h"
@@ -544,6 +546,93 @@ TEST(ShardService, CrashedShardIsRestartedAndClientsReroute) {
   // user's sequence over instead of resuming the old ledger.
   EXPECT_EQ(a->status, ReportStatus::delivered);
 
+  svc.drain();
+}
+
+/// Submits one report for `user` straight to its shard and returns the
+/// answer's status (rejected_queue_full after a reported failure).
+ReportStatus submit_status(net::Connection& shard, std::uint64_t tag, const std::string& user) {
+  net::SubmitPayload p;
+  p.tag = tag;
+  p.user_id = user;
+  p.event = event_at(static_cast<trace::Timestamp>(tag) * 60, 5.0, 6.0);
+  net::Frame frame;
+  if (!shard.send_submit(p) || !shard.recv(frame) || frame.type != net::FrameType::kAnswer) {
+    ADD_FAILURE() << "no answer for tag " << tag << ": " << shard.error();
+    return ReportStatus::rejected_queue_full;
+  }
+  const auto a = net::decode_answer(frame.payload.data(), frame.payload.size());
+  if (!a.has_value() || a->tag != tag) {
+    ADD_FAILURE() << "malformed answer for tag " << tag;
+    return ReportStatus::rejected_queue_full;
+  }
+  return a->status;
+}
+
+/// Kills shard 0 and pumps the supervisor until it has re-forked it.
+void kill_and_refork_shard0(ShardService& svc) {
+  const pid_t old_pid = svc.shard_pid(0);
+  ASSERT_GT(old_pid, 0);
+  ASSERT_EQ(::kill(old_pid, SIGKILL), 0);
+  for (int i = 0; i < 1000 && svc.restarts() == 0; ++i) (void)svc.run_once(10);
+  ASSERT_EQ(svc.restarts(), 1u);
+  ASSERT_NE(svc.shard_pid(0), old_pid);
+}
+
+ShardServiceConfig failing_fleet_config(const std::string& name) {
+  ShardServiceConfig cfg = supervisor_config(name, 1);
+  cfg.gateway.faults = parse_fault_spec("fail=1");  // every downstream call fails
+  return cfg;
+}
+
+TEST(ShardService, ReloadThroughTheSupervisorClearsFaults) {
+  const ShardServiceConfig cfg = failing_fleet_config("svc_clear");
+  ShardService svc(cfg);
+  ASSERT_TRUE(svc.start()) << svc.error();
+  net::Connection sup;
+  ASSERT_TRUE(sup.connect(cfg.listen));
+  net::Connection shard0;
+  ASSERT_TRUE(shard0.connect(svc.shard_map().endpoints[0]));
+  EXPECT_EQ(submit_status(shard0, 1, "clear-user"), ReportStatus::degraded_suppressed);
+
+  // A malformed spec is answered with kError and the old policy serves on.
+  net::Frame reply;
+  ASSERT_TRUE(supervisor_request(svc, sup, net::FrameType::kReload,
+                                 R"({"faults": "not a spec"})", reply));
+  EXPECT_EQ(reply.type, net::FrameType::kError);
+  EXPECT_EQ(submit_status(shard0, 2, "clear-user"), ReportStatus::degraded_suppressed);
+
+  // An empty string clears the fault plan.
+  ASSERT_TRUE(supervisor_request(svc, sup, net::FrameType::kReload, R"({"faults": ""})", reply));
+  EXPECT_EQ(reply.type, net::FrameType::kReloadReply);
+  EXPECT_EQ(submit_status(shard0, 3, "clear-user"), ReportStatus::delivered);
+
+  // So does a re-forked shard.
+  kill_and_refork_shard0(svc);
+  ASSERT_TRUE(shard0.connect(svc.shard_map().endpoints[0]));
+  EXPECT_EQ(submit_status(shard0, 4, "clear-user"), ReportStatus::delivered);
+  svc.drain();
+}
+
+TEST(ShardService, ReforkedShardServesTheReloadedPolicy) {
+  const ShardServiceConfig cfg = failing_fleet_config("svc_refork");
+  ShardService svc(cfg);
+  ASSERT_TRUE(svc.start()) << svc.error();
+  net::Connection sup;
+  ASSERT_TRUE(sup.connect(cfg.listen));
+  net::Frame reply;
+  ASSERT_TRUE(supervisor_request(svc, sup, net::FrameType::kReload,
+                                 R"({"faults": "latency_p=0"})", reply));
+  EXPECT_EQ(reply.type, net::FrameType::kReloadReply);
+  net::Connection shard0;
+  ASSERT_TRUE(shard0.connect(svc.shard_map().endpoints[0]));
+  EXPECT_EQ(submit_status(shard0, 1, "refork-user"), ReportStatus::delivered);
+
+  // The crash loses the shard's sessions, not the fleet's policy: the
+  // new process starts from the reloaded config, not the start-up one.
+  kill_and_refork_shard0(svc);
+  ASSERT_TRUE(shard0.connect(svc.shard_map().endpoints[0]));
+  EXPECT_EQ(submit_status(shard0, 2, "refork-user"), ReportStatus::delivered);
   svc.drain();
 }
 

@@ -21,13 +21,10 @@ cmake -B "$BUILD_DIR" -S . -DLOCPRIV_SANITIZE="$SANITIZER" > /dev/null
 # race-check lane too.
 # test_trace_store runs multi-threaded sweeps over a shared read-only
 # arena (heap and mmap), the columnar refactor's concurrency surface.
-# test_lppm_optimal shares one lazily built serving plan (matrix + alias
-# tables behind a mutex-guarded cache) across protect() threads and
-# sweeps it at 1 vs 8 threads — the optimal mechanism's race surface.
 TARGETS=(test_service_adaptive test_service_gateway test_service_session_manager
          test_service_resilience test_lppm_online
          test_metrics_eval_context test_obs_tracer test_core_experiment_determinism
-         test_attack_tracking test_synth_generators test_trace_store test_lppm_optimal
+         test_attack_tracking test_synth_generators test_trace_store
          test_net_frame test_net_loop test_service_shard)
 if [ "$SCOPE" = "all" ]; then
   cmake --build "$BUILD_DIR" -j"$(nproc)"

@@ -121,31 +121,6 @@ def check_kernels_schema(doc: dict) -> None:
     require_number(doc, "storage.binary_heap_seconds", minimum=0)
     require_number(doc, "storage.binary_mmap_seconds", minimum=0)
     require_number(doc, "storage.csv_over_mmap_speedup", minimum=0)
-    # Optimal geo-ind entries (PR 9). The spanner build-time claim is
-    # absolute, not just a ratio vs baseline: on the full preset's
-    # 400-cell grid the delta = 1.1 spanner build must be >= 5x faster
-    # than the exact dense LP build. The smoke grid is 100 cells, where
-    # the exact path's O(n^3) advantage-shrink leaves less headroom; it
-    # only has to not be slower. The dilation and feasibility checks run
-    # inside the bench (optimal.feasible / optimal.bit_identical).
-    require_true(doc, "optimal.bit_identical")
-    require_true(doc, "optimal.feasible")
-    require_true(doc, "optimal.sweep.bit_identical")
-    require_number(doc, "optimal.cells", minimum=1)
-    require_number(doc, "optimal.exact_build_seconds", minimum=0)
-    require_number(doc, "optimal.spanner_build_seconds", minimum=0)
-    require_number(doc, "optimal.spanner_edges", minimum=1)
-    require_number(doc, "optimal.exact_loss", minimum=0)
-    require_number(doc, "optimal.spanner_loss", minimum=0)
-    require_number(doc, "optimal.serve.optimal_draws_per_s", minimum=1)
-    require_number(doc, "optimal.serve.laplace_draws_per_s", minimum=1)
-    speedup_floor = {"full": 5.0, "smoke": 1.0}.get(str(doc.get("preset")), 5.0)
-    require_number(doc, "optimal_spanner_speedup", minimum=speedup_floor)
-    dilation = require_number(doc, "optimal.spanner_dilation", minimum=1.0)
-    delta = require_number(doc, "optimal.delta", minimum=1.0)
-    if dilation is not None and delta is not None and dilation > delta + 1e-9:
-        fail(f"optimal.spanner_dilation = {dilation:.4f} exceeds the delta = {delta} "
-             "bound the mechanism advertises")
 
 
 # The full preset is the committed baseline and carries the paper-level
@@ -384,10 +359,7 @@ def check_regressions(candidate: dict, baseline: dict, max_regression: float) ->
         # degrades faster in n than the grid side; the CSV parse falls
         # further behind the binary loaders as the event count grows),
         # so they only compare meaningfully within one preset; the
-        # headline ratios above transfer across workload sizes. The
-        # optimal spanner speedup is gated by its absolute per-preset
-        # floor in the schema check, not a baseline ratio — build times
-        # under 250 ms are too load-sensitive for a 25% band.
+        # headline ratios above transfer across workload sizes.
         names.append("grid_visitor_vs_kdtree")
         names.append("storage.csv_over_mmap_speedup")
     else:

@@ -522,14 +522,18 @@ int cmd_compare(const Args& args) {
   }
   if (names.empty()) throw std::runtime_error("compare: no mechanisms given");
 
-  io::Table table({"mechanism", "knob", "tradeoff AUC", "Pr R^2", "Ut R^2", "status"});
+  // Rows wait for every sweep: the AUCs are scored in one frame, the
+  // union of all the sweeps' points, so the column ranks mechanisms.
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::vector<core::TradeoffPoint>> curves;
+  std::vector<std::size_t> curve_rows;
   for (const std::string& name : names) {
     try {
       core::SystemDefinition def;
       def.mechanism_factory = [name] { return lppm::create_mechanism(name); };
       const std::unique_ptr<lppm::Mechanism> probe = lppm::create_mechanism(name);
       if (probe->parameters().empty()) {
-        table.add_row({name, "-", "-", "-", "-", "no tunable parameter"});
+        rows.push_back({name, "-", "-", "-", "-", "no tunable parameter"});
         continue;
       }
       def.sweep = core::full_range_sweep(*probe, probe->parameters().front().name,
@@ -539,15 +543,27 @@ int cmd_compare(const Args& args) {
       def.utility = std::shared_ptr<const metrics::Metric>(
           metrics::create_metric(parsed.get("utility-metric")));
       const core::SweepResult sweep = core::run_sweep(def, data, cfg);
+      // Scored even if the fit throws: the error row takes this index.
+      curves.push_back(core::to_tradeoff_points(sweep));
+      curve_rows.push_back(rows.size());
       const core::LppmModel model = core::fit_loglinear_model(sweep);
-      table.add_row({name, def.sweep.parameter,
-                     io::Table::num(core::tradeoff_auc(core::to_tradeoff_points(sweep)), 3),
-                     io::Table::num(model.privacy.fit.r_squared, 2),
-                     io::Table::num(model.utility.fit.r_squared, 2), "ok"});
+      rows.push_back({name, def.sweep.parameter, "-",
+                      io::Table::num(model.privacy.fit.r_squared, 2),
+                      io::Table::num(model.utility.fit.r_squared, 2), "ok"});
     } catch (const std::exception& e) {
-      table.add_row({name, "-", "-", "-", "-", e.what()});
+      rows.push_back({name, "-", "-", "-", "-", e.what()});
     }
   }
+  try {
+    const std::vector<double> auc = core::tradeoff_auc(curves);
+    for (std::size_t i = 0; i < auc.size(); ++i) {
+      rows[curve_rows[i]][2] = io::Table::num(auc[i], 3);
+    }
+  } catch (const std::invalid_argument&) {
+    // no sweep ran, or all are flat on one axis: no frame, AUCs stay "-"
+  }
+  io::Table table({"mechanism", "knob", "tradeoff AUC", "Pr R^2", "Ut R^2", "status"});
+  for (std::vector<std::string>& row : rows) table.add_row(std::move(row));
   table.print(std::cout);
   std::cout << "\nhigher trade-off AUC = better privacy retained across the utility range.\n";
   return 0;

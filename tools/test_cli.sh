@@ -95,11 +95,13 @@ STATUS=0
 [ "$STATUS" = 1 ] || { echo "serve-sim --idle-timeout -5 exited $STATUS"; exit 1; }
 grep -q "option --idle-timeout: '-5' is negative" "$DIR/negative_idle.txt"
 # A budget window no session can be built with fails at start-up, not
-# in each shard on its first report.
+# in each shard on its first report, and the supervisor names how the
+# shard ended.
 STATUS=0
 timeout 30 "$CLI" serve --listen "unix:$DIR/bad-window.sock" --shards 2 --window 0 \
   > /dev/null 2> "$DIR/bad_window.txt" || STATUS=$?
 [ "$STATUS" = 1 ] || { echo "serve --window 0 exited $STATUS"; exit 1; }
 grep -q "budget_window_s must be > 0" "$DIR/bad_window.txt"
+grep -q "died before ready: exited with status 1" "$DIR/bad_window.txt"
 
 echo "cli workflow OK"
