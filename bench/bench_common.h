@@ -36,6 +36,21 @@ inline core::ExperimentConfig standard_experiment() {
   return cfg;
 }
 
+/// The PASS/FAIL verdicts a paper bench prints. check() returns the
+/// word to print and remembers a FAIL; main returns exit_code(), so a
+/// bench that prints FAIL exits 1.
+class Verdicts {
+ public:
+  const char* check(bool ok) {
+    failed_ = failed_ || !ok;
+    return ok ? "PASS" : "FAIL";
+  }
+  [[nodiscard]] int exit_code() const { return failed_ ? 1 : 0; }
+
+ private:
+  bool failed_ = false;
+};
+
 /// Renders a crude console sparkline of a metric series (the "figure").
 inline void print_ascii_series(const std::vector<double>& values, double lo, double hi) {
   static const char* kLevels[] = {" ", ".", ":", "-", "=", "+", "*", "#"};

@@ -17,6 +17,7 @@
 
 int main() {
   using namespace locpriv;
+  bench::Verdicts verdicts;
 
   std::cout << "=== Ablation C: dataset properties, PCA selection, response surface ===\n\n";
 
@@ -99,7 +100,7 @@ int main() {
             << " -> surface gives eps = " << io::Table::num(eps, 3)
             << " -> measured Pr = " << io::Table::num(measured.privacy_mean, 3) << "\n";
   const bool transfer_ok = std::abs(measured.privacy_mean - target_pr) < 0.2;
-  std::cout << "transfer check (|measured - target| < 0.2): " << (transfer_ok ? "PASS" : "FAIL")
+  std::cout << "transfer check (|measured - target| < 0.2): " << verdicts.check(transfer_ok)
             << "\n";
-  return 0;
+  return verdicts.exit_code();
 }

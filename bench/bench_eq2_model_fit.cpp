@@ -17,6 +17,7 @@
 
 int main() {
   using namespace locpriv;
+  bench::Verdicts verdicts;
 
   std::cout << "=== Equation 2: fitted log-linear model coefficients ===\n\n";
 
@@ -43,15 +44,15 @@ int main() {
 
   const bool slopes_positive = model.privacy.fit.slope > 0.0 && model.utility.fit.slope > 0.0;
   const bool fits_good = model.privacy.fit.r_squared > 0.85 && model.utility.fit.r_squared > 0.85;
-  std::cout << "structure check: positive slopes: " << (slopes_positive ? "PASS" : "FAIL")
+  std::cout << "structure check: positive slopes: " << verdicts.check(slopes_positive)
             << "; linear in ln(eps) on active interval (R^2 > 0.85): "
-            << (fits_good ? "PASS" : "FAIL") << "\n";
+            << verdicts.check(fits_good) << "\n";
 
   std::cout << "\ninversion sanity: Pr(eps) then eps(Pr) round-trips at the interval center: ";
   const double eps_mid = std::sqrt(model.param_low * model.param_high);
   const double pr = model.privacy.predict(eps_mid, model.scale);
   const double back = model.privacy.invert(pr, model.scale);
-  std::cout << (std::abs(back - eps_mid) < 1e-9 * eps_mid ? "PASS" : "FAIL") << "\n";
+  std::cout << verdicts.check(std::abs(back - eps_mid) < 1e-9 * eps_mid) << "\n";
 
   // --- Adaptive refinement: re-invest the point budget in the transition. ---
   std::cout << "\nadaptive refinement (coarse sweep -> zoom into the active interval):\n";
@@ -72,6 +73,6 @@ int main() {
                   io::Table::num(refined_model.privacy.fit.residual_stddev, 3)});
   rtable.print(std::cout);
   std::cout << "refinement check (more regression points in the transition): "
-            << (refined_model.privacy.fit.n > model.privacy.fit.n ? "PASS" : "FAIL") << "\n";
-  return 0;
+            << verdicts.check(refined_model.privacy.fit.n > model.privacy.fit.n) << "\n";
+  return verdicts.exit_code();
 }

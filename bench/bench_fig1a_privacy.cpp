@@ -12,6 +12,7 @@
 
 int main() {
   using namespace locpriv;
+  bench::Verdicts verdicts;
 
   std::cout << "=== Figure 1a: GEO-I privacy metric vs epsilon ===\n";
   std::cout << "privacy metric: poi-retrieval (fraction of actual POIs an attacker\n"
@@ -44,11 +45,10 @@ int main() {
             << io::Table::num(sweep.points[active.last].parameter_value, 3) << "]\n";
   std::cout << "paper's interval on cabspotting: eps in [0.007, 0.08]\n";
   std::cout << "shape check: metric ~0 at eps=1e-4: "
-            << (sweep.points.front().privacy_mean < 0.1 ? "PASS" : "FAIL")
+            << verdicts.check(sweep.points.front().privacy_mean < 0.1)
             << "; rises monotonically overall: "
-            << (sweep.points.back().privacy_mean > sweep.points.front().privacy_mean + 0.3
-                    ? "PASS"
-                    : "FAIL")
+            << verdicts.check(sweep.points.back().privacy_mean >
+                              sweep.points.front().privacy_mean + 0.3)
             << "\n";
-  return 0;
+  return verdicts.exit_code();
 }

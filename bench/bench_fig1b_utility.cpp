@@ -12,6 +12,7 @@
 
 int main() {
   using namespace locpriv;
+  bench::Verdicts verdicts;
 
   std::cout << "=== Figure 1b: GEO-I utility metric vs epsilon ===\n";
   std::cout << "utility metric: area-coverage-f1 at 115 m city blocks\n"
@@ -46,8 +47,8 @@ int main() {
   const core::ActiveInterval privacy_active =
       core::detect_active_interval(sweep.model_xs(), sweep.privacy_values());
   std::cout << "shape check: utility at eps=1 near 1.0: "
-            << (sweep.points.back().utility_mean > 0.9 ? "PASS" : "FAIL")
+            << verdicts.check(sweep.points.back().utility_mean > 0.9)
             << "; utility active range wider than privacy's: "
-            << (active.point_count() >= privacy_active.point_count() ? "PASS" : "FAIL") << "\n";
-  return 0;
+            << verdicts.check(active.point_count() >= privacy_active.point_count()) << "\n";
+  return verdicts.exit_code();
 }

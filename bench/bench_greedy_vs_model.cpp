@@ -16,6 +16,7 @@
 
 int main() {
   using namespace locpriv;
+  bench::Verdicts verdicts;
   using core::Axis;
   using core::Sense;
 
@@ -84,6 +85,6 @@ int main() {
   std::cout << "break-even: the sweep amortizes after ~" << io::Table::num(breakeven, 2)
             << " configuration queries\n";
   std::cout << "paper's claim (formal model beats per-query greedy once reused): "
-            << (breakeven <= static_cast<double>(query_targets.size()) ? "PASS" : "FAIL") << "\n";
-  return 0;
+            << verdicts.check(breakeven <= static_cast<double>(query_targets.size())) << "\n";
+  return verdicts.exit_code();
 }

@@ -184,21 +184,25 @@ io::JsonObject bench_djcluster(std::size_t points, double& speedup_out, bool& id
   cfg.min_pts = 10;
 
   // Warm-up (page in the trace, prime allocators), then min-of-3 timed
-  // runs per side — the minimum is the least noise-contaminated sample
-  // on a shared CI box.
+  // samples per side, the sides alternating. Each sample runs `reps`
+  // calls back to back and keeps the per-call mean: one
+  // millisecond-scale call per sample let a single slow call move the
+  // smoke ratio by a fifth between runs. The minimum is the least
+  // noise-contaminated sample on a shared CI box.
   (void)poi::extract_pois_djcluster(t, cfg);
 
+  const int reps = 5;
   std::vector<poi::Poi> old_pois, new_pois;
   double old_seconds = std::numeric_limits<double>::infinity();
   double new_seconds = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int sample = 0; sample < 3; ++sample) {
     const auto old_start = Clock::now();
-    old_pois = reference_djcluster(t, cfg);
-    old_seconds = std::min(old_seconds, seconds_since(old_start));
+    for (int r = 0; r < reps; ++r) old_pois = reference_djcluster(t, cfg);
+    old_seconds = std::min(old_seconds, seconds_since(old_start) / reps);
 
     const auto new_start = Clock::now();
-    new_pois = poi::extract_pois_djcluster(t, cfg);
-    new_seconds = std::min(new_seconds, seconds_since(new_start));
+    for (int r = 0; r < reps; ++r) new_pois = poi::extract_pois_djcluster(t, cfg);
+    new_seconds = std::min(new_seconds, seconds_since(new_start) / reps);
   }
 
   const bool identical = pois_bit_identical(old_pois, new_pois);

@@ -15,6 +15,7 @@
 
 int main() {
   using namespace locpriv;
+  bench::Verdicts verdicts;
 
   std::cout << "=== Ablation D: swapping privacy/utility metrics ===\n\n";
 
@@ -57,7 +58,7 @@ int main() {
   std::cout << "\n" << fitted << "/" << total
             << " metric pairings produced an invertible model through the same\n"
                "unchanged pipeline — the framework's modularity claim.\n";
-  std::cout << "modularity check (all pairings fit): " << (fitted == total ? "PASS" : "FAIL")
+  std::cout << "modularity check (all pairings fit): " << verdicts.check(fitted == total)
             << "\n";
-  return 0;
+  return verdicts.exit_code();
 }

@@ -17,6 +17,7 @@
 
 int main() {
   using namespace locpriv;
+  bench::Verdicts verdicts;
 
   std::cout << "=== Ablation F: model generalization and point uncertainty ===\n\n";
 
@@ -39,7 +40,7 @@ int main() {
   std::cout << "\nmean held-out RMSE: privacy " << io::Table::num(report.mean_privacy_rmse, 3)
             << ", utility " << io::Table::num(report.mean_utility_rmse, 3) << "\n";
   const bool generalizes = report.mean_privacy_rmse < 0.25 && report.mean_utility_rmse < 0.25;
-  std::cout << "generalization check (held-out RMSE < 0.25): " << (generalizes ? "PASS" : "FAIL")
+  std::cout << "generalization check (held-out RMSE < 0.25): " << verdicts.check(generalizes)
             << "\n\n";
 
   // --- Part 2: bootstrap CIs over users at representative epsilons. ---
@@ -60,5 +61,5 @@ int main() {
   std::cout << "\nreading: the transition-zone points carry the widest intervals —\n"
                "exactly where the configuration decision lives, so trials and users\n"
                "should concentrate there.\n";
-  return 0;
+  return verdicts.exit_code();
 }

@@ -18,6 +18,7 @@
 
 int main() {
   using namespace locpriv;
+  bench::Verdicts verdicts;
 
   std::cout << "=== Ablation B: the framework across different LPPMs ===\n\n";
 
@@ -90,7 +91,7 @@ int main() {
 
   std::cout << "\nreading: each mechanism gets its own invertible (Pr, Ut) = f(ln p) model\n"
                "from one generic pipeline — no mechanism-specific modeling code.\n";
-  std::cout << "slope-direction check across mechanisms: " << (all_signs_ok ? "PASS" : "FAIL")
+  std::cout << "slope-direction check across mechanisms: " << verdicts.check(all_signs_ok)
             << "\n";
-  return 0;
+  return verdicts.exit_code();
 }

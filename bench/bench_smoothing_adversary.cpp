@@ -38,7 +38,8 @@ class SmoothedPoiRetrieval final : public metrics::TraceMetric {
     return metrics::Direction::kLowerIsMorePrivate;
   }
   double evaluate_trace(const metrics::EvalContext& ctx, std::size_t user) const override {
-    return attack::run_smoothing_attack(ctx.actual()[user], ctx.protected_data()[user], cfg_)
+    return attack::run_smoothing_attack(ctx.trace(metrics::Side::kActual, user),
+                                        ctx.trace(metrics::Side::kProtected, user), cfg_)
         .match.recall;
   }
 
@@ -57,7 +58,8 @@ class AdaptivePoiRetrieval final : public metrics::TraceMetric {
     return metrics::Direction::kLowerIsMorePrivate;
   }
   double evaluate_trace(const metrics::EvalContext& ctx, std::size_t user) const override {
-    return attack::run_adaptive_attack(ctx.actual()[user], ctx.protected_data()[user],
+    return attack::run_adaptive_attack(ctx.trace(metrics::Side::kActual, user),
+                                       ctx.trace(metrics::Side::kProtected, user),
                                        attack::AdaptiveAttackConfig{})
         .match.recall;
   }
@@ -66,6 +68,7 @@ class AdaptivePoiRetrieval final : public metrics::TraceMetric {
 }  // namespace
 
 int main() {
+  bench::Verdicts verdicts;
   std::cout << "=== Ablation E: naive vs smoothing vs adaptive POI adversary ===\n\n";
 
   const trace::Dataset data = bench::standard_taxi_dataset();
@@ -118,7 +121,7 @@ int main() {
               << io::Table::num(eps_bounds.back(), 3) << " ("
               << io::Table::num(eps_bounds.front() / eps_bounds.back(), 3) << "x)\n";
     std::cout << "adversary-strength check (stronger adversaries tighten epsilon): "
-              << (eps_bounds.back() <= eps_bounds.front() * 1.05 ? "PASS" : "FAIL") << "\n";
+              << verdicts.check(eps_bounds.back() <= eps_bounds.front() * 1.05) << "\n";
   }
-  return 0;
+  return verdicts.exit_code();
 }

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -53,18 +54,65 @@ struct TrialOutcome {
   double privacy_train = 0.0; ///< train-side Pr; only written under a split
 };
 
+/// Protects and scores `data` one user at a time: user u's trace is
+/// protected under derive_seed(seed, u), exactly as
+/// Mechanism::protect_dataset does, scored for privacy and then utility
+/// through a per-user context, handed to `on_user(u, privacy, utility)`
+/// and dropped. So at most one protected trace is alive per call, while
+/// `protected_cache` (if any) shares derivations between the two
+/// metrics. Throws std::invalid_argument when the mechanism changes a
+/// user id, as require_paired does on the whole-dataset path.
+template <typename OnUser>
+void score_users(const metrics::TraceMetric& privacy_metric,
+                 const metrics::TraceMetric& utility_metric, const lppm::Mechanism& mechanism,
+                 const trace::Dataset& data, std::uint64_t seed,
+                 const std::shared_ptr<metrics::ArtifactCache>& actual_cache,
+                 const std::shared_ptr<metrics::ArtifactCache>& protected_cache,
+                 OnUser&& on_user) {
+  for (std::size_t u = 0; u < data.size(); ++u) {
+    const trace::Trace protected_trace = [&] {
+      obs::Span protect_span("lppm", "protect_dataset");
+      protect_span.arg("user", static_cast<double>(u));
+      return mechanism.protect(data[u], stats::derive_seed(seed, u));
+    }();
+    if (protected_trace.user_id() != data[u].user_id()) {
+      throw std::invalid_argument("metric: user mismatch at index " + std::to_string(u) + " ('" +
+                                  data[u].user_id() + "' vs '" + protected_trace.user_id() +
+                                  "')");
+    }
+    const metrics::EvalContext ctx(data, u, protected_trace, actual_cache, protected_cache);
+    double privacy = 0.0;
+    double utility = 0.0;
+    {
+      obs::Span eval_span("metrics", privacy_metric.name());
+      privacy = privacy_metric.evaluate_trace(ctx, u);
+    }
+    {
+      obs::Span eval_span("metrics", utility_metric.name());
+      utility = utility_metric.evaluate_trace(ctx, u);
+    }
+    on_user(u, privacy, utility);
+  }
+}
+
 /// Protects the dataset under `trial_seed` and scores both metrics.
 /// Pure in (mechanism, data, trial_seed): safe to run concurrently for
 /// different trials against a shared const mechanism and a shared
 /// (thread-safe) actual-side cache.
 ///
-/// With `splits` non-empty, privacy is scored per side: the attacker
-/// fits on each split's train users (metrics see the SplitView through
-/// the context) and every side's value is the test/train-size-weighted
-/// mean over folds — for trace-level metrics that equals scoring each
-/// user exactly once while held out. The full dataset is still
-/// protected as a whole, so per-user noise streams (and hence utility)
-/// are identical with and without a split.
+/// With two trace-level metrics and no split the trial streams: it runs
+/// score_users and takes each mean as sum / n in user order, the same
+/// arithmetic as TraceMetric::evaluate, so results are bit-identical to
+/// scoring a whole protected dataset while holding one protected trace.
+///
+/// Otherwise the trial protects the whole dataset first. With `splits`
+/// non-empty, privacy is scored per side: the attacker fits on each
+/// split's train users (metrics see the SplitView through the context)
+/// and every side's value is the test/train-size-weighted mean over
+/// folds — for trace-level metrics that equals scoring each user
+/// exactly once while held out. The full dataset is still protected as
+/// a whole, so per-user noise streams (and hence utility) are identical
+/// with and without a split.
 TrialOutcome run_trial(const SystemDefinition& system, const lppm::Mechanism& mechanism,
                        const trace::Dataset& data, std::uint64_t trial_seed,
                        std::size_t trial_index,
@@ -72,16 +120,31 @@ TrialOutcome run_trial(const SystemDefinition& system, const lppm::Mechanism& me
                        std::span<const UserSplit> splits) {
   obs::Span trial_span("core", "trial");
   trial_span.arg("trial", static_cast<double>(trial_index));
+  // The protected data is unique to this trial, so its cache lives and
+  // dies here — it only shares derivations between the two metrics.
+  const std::shared_ptr<metrics::ArtifactCache> protected_cache =
+      actual_cache != nullptr ? std::make_shared<metrics::ArtifactCache>() : nullptr;
+  TrialOutcome out;
+  const auto* privacy = dynamic_cast<const metrics::TraceMetric*>(system.privacy.get());
+  const auto* utility = dynamic_cast<const metrics::TraceMetric*>(system.utility.get());
+  if (splits.empty() && privacy != nullptr && utility != nullptr) {
+    if (data.empty()) throw std::invalid_argument("metric: empty dataset");
+    double privacy_sum = 0.0;
+    double utility_sum = 0.0;
+    score_users(*privacy, *utility, mechanism, data, trial_seed, actual_cache, protected_cache,
+                [&](std::size_t, double pr, double ut) {
+                  privacy_sum += pr;
+                  utility_sum += ut;
+                });
+    out.privacy = privacy_sum / static_cast<double>(data.size());
+    out.utility = utility_sum / static_cast<double>(data.size());
+    return out;
+  }
   const trace::Dataset protected_data = [&] {
     obs::Span protect_span("lppm", "protect_dataset");
     return mechanism.protect_dataset(data, trial_seed);
   }();
-  // The protected dataset is unique to this trial, so its cache lives
-  // and dies here — it only shares derivations between the two metrics.
-  const std::shared_ptr<metrics::ArtifactCache> protected_cache =
-      actual_cache != nullptr ? std::make_shared<metrics::ArtifactCache>() : nullptr;
   const metrics::EvalContext ctx(data, protected_data, actual_cache, protected_cache);
-  TrialOutcome out;
   if (splits.empty()) {
     obs::Span eval_span("metrics", system.privacy->name());
     out.privacy = system.privacy->evaluate(ctx);
@@ -211,15 +274,12 @@ std::vector<PerUserPoint> evaluate_point_per_user(const SystemDefinition& system
   }
   const std::unique_ptr<lppm::Mechanism> mechanism = system.mechanism_factory();
   mechanism->set_parameter(system.sweep.parameter, parameter_value);
-  const trace::Dataset protected_data = mechanism->protect_dataset(data, seed);
-
-  const metrics::EvalContext ctx(data, protected_data);
   std::vector<PerUserPoint> out;
   out.reserve(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    out.push_back(
-        {data[i].user_id(), privacy->evaluate_trace(ctx, i), utility->evaluate_trace(ctx, i)});
-  }
+  score_users(*privacy, *utility, *mechanism, data, seed, nullptr, nullptr,
+              [&](std::size_t u, double pr, double ut) {
+                out.push_back({data[u].user_id(), pr, ut});
+              });
   return out;
 }
 

@@ -22,7 +22,7 @@ double AreaCoverage::evaluate_trace(const EvalContext& ctx, std::size_t user) co
   // cells. Reserved for every event, the table never regrows; it holds
   // at most max(64, 4·n) 8-byte slots, so 32 bytes per event, and each
   // evaluating thread has one alive at a time.
-  const trace::Trace& t = ctx.protected_data()[user];
+  const trace::Trace& t = ctx.trace(Side::kProtected, user);
   geo::CellSet p;
   p.reserve(t.size());
   geo::Grid(cell_size_m_).add_covered_cells(t.xs(), t.ys(), p);

@@ -21,7 +21,7 @@ std::shared_ptr<const std::vector<poi::StayPoint>> staypoints_artifact(
     const EvalContext& ctx, Side side, std::size_t user, const poi::ExtractorConfig& cfg) {
   return ctx.artifact<std::vector<poi::StayPoint>>(
       side, user, "staypoints", staypoint_params_hash(cfg),
-      [&] { return poi::extract_stay_points(ctx.dataset(side)[user], cfg); });
+      [&] { return poi::extract_stay_points(ctx.trace(side, user), cfg); });
 }
 
 std::shared_ptr<const std::vector<poi::Poi>> poi_artifact(const EvalContext& ctx, Side side,
@@ -40,7 +40,7 @@ std::shared_ptr<const geo::CellSet> coverage_artifact(const EvalContext& ctx, Si
       side, user, "coverage", ParamHash().add(cell_size_m).digest(), [&] {
         const geo::Grid grid(cell_size_m);
         // Rasterize straight off the coordinate columns — no Point copy.
-        const trace::Trace& t = ctx.dataset(side)[user];
+        const trace::Trace& t = ctx.trace(side, user);
         return grid.covered_cells(t.xs(), t.ys());
       });
 }

@@ -20,8 +20,8 @@ const std::string& CellHitRatio::name() const {
 }
 
 double CellHitRatio::evaluate_trace(const EvalContext& ctx, std::size_t user) const {
-  const trace::Trace& actual = ctx.actual()[user];
-  const trace::Trace& protected_trace = ctx.protected_data()[user];
+  const trace::Trace& actual = ctx.trace(Side::kActual, user);
+  const trace::Trace& protected_trace = ctx.trace(Side::kProtected, user);
   if (actual.empty()) return 0.0;
   if (protected_trace.empty()) return 0.0;
   const geo::Grid grid(cell_size_m_);

@@ -10,8 +10,8 @@ const std::string& MeanDistortion::name() const {
 }
 
 double MeanDistortion::evaluate_trace(const EvalContext& ctx, std::size_t user) const {
-  const trace::Trace& actual = ctx.actual()[user];
-  const trace::Trace& protected_trace = ctx.protected_data()[user];
+  const trace::Trace& actual = ctx.trace(Side::kActual, user);
+  const trace::Trace& protected_trace = ctx.trace(Side::kProtected, user);
   if (actual.empty() || protected_trace.empty()) return 0.0;
   double total = 0.0;
   if (actual.size() == protected_trace.size()) {

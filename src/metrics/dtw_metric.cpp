@@ -13,8 +13,8 @@ const std::string& DtwDistortion::name() const {
 }
 
 double DtwDistortion::evaluate_trace(const EvalContext& ctx, std::size_t user) const {
-  const trace::Trace& actual = ctx.actual()[user];
-  const trace::Trace& protected_trace = ctx.protected_data()[user];
+  const trace::Trace& actual = ctx.trace(Side::kActual, user);
+  const trace::Trace& protected_trace = ctx.trace(Side::kProtected, user);
   if (actual.empty() || protected_trace.empty()) return 0.0;
   // The upfront Point gathers are deliberate: the DTW kernel
   // random-accesses both sequences O(n·m) times through contiguous

@@ -1,6 +1,8 @@
 #include "metrics/eval_context.h"
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "obs/tracer.h"
 
@@ -83,6 +85,12 @@ std::shared_ptr<const void> ArtifactCache::get_or_build(const ArtifactKey& key,
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto [it, inserted] = shard.map.try_emplace(key, std::move(built));
   return it->second;
+}
+
+void EvalContext::throw_per_user(const char* what) const {
+  throw std::logic_error(std::string("EvalContext: ") + what +
+                         " on a per-user context, which holds only user " +
+                         std::to_string(user_) + "'s protected trace");
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {

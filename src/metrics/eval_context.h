@@ -7,7 +7,7 @@
 // dataset and the derivation parameters — they are invariant across all
 // sweep points, trials, metrics and worker threads — and the
 // protected-side artifacts are shared between the two metrics evaluated
-// on the same protected dataset. Recomputing them at every call is the
+// on the same protected data. Recomputing them at every call is the
 // dominant cost of a sweep.
 //
 // An ArtifactCache is a thread-safe, content-keyed store of such derived
@@ -16,12 +16,27 @@
 // coexist. A cache instance is bound to ONE dataset for its lifetime
 // (trace indices identify traces only within that dataset): the engine
 // keeps one cache for the actual dataset per sweep and a fresh one per
-// protected dataset.
+// trial's protected data.
 //
-// An EvalContext bundles the (actual, protected) dataset pair with the
-// two caches. Metrics ask it for artifacts by kind + builder; with no
-// cache attached the builder just runs — so the same metric code serves
-// cached sweeps and one-shot uncached calls, bit-identically (builders are
+// An EvalContext bundles what one evaluation reads with the two caches.
+// It comes in two forms:
+//   - whole-dataset: the (actual, protected) dataset pair — what every
+//     Metric::evaluate needs;
+//   - per-user: the whole actual dataset plus ONE protected trace, that
+//     of user u. A streamed sweep trial (core::run_trial) protects one
+//     user, scores both trace-level metrics on it through such a
+//     context and drops the trace, so a trial never holds its whole
+//     protected dataset. The actual side stays whole because some
+//     artifacts of user u read other users (leave-one-out tracking
+//     priors).
+// Trace-level metrics read a protected trace only through
+// trace(Side::kProtected, user), which both forms serve; on a per-user
+// context, protected_data(), dataset(Side::kProtected) and another
+// user's protected trace throw std::logic_error.
+//
+// Metrics ask the context for artifacts by kind + builder; with no cache
+// attached the builder just runs — so the same metric code serves cached
+// sweeps and one-shot uncached calls, bit-identically (builders are
 // deterministic, and a cache hit returns the exact object a miss built).
 #pragma once
 
@@ -127,13 +142,15 @@ struct SplitView {
   std::uint64_t id = 0;
 };
 
-/// One metric evaluation's view: the (actual, protected) dataset pair
-/// plus the artifact caches bound to each side. Cheap to construct;
-/// holds references to the datasets — they must outlive the context.
+/// One metric evaluation's view: the actual dataset, the protected
+/// data (a whole dataset, or one user's trace on a per-user context)
+/// and the artifact caches bound to each side. Cheap to construct;
+/// holds references — the datasets and the trace must outlive the
+/// context.
 class EvalContext {
  public:
-  /// Context without caching (both caches null): artifact() builds on
-  /// every call — the form for one-shot evaluations.
+  /// Whole-dataset context. Without caches (both null) artifact()
+  /// builds on every call — the form for one-shot evaluations.
   EvalContext(const trace::Dataset& actual, const trace::Dataset& protected_data,
               std::shared_ptr<ArtifactCache> actual_cache = nullptr,
               std::shared_ptr<ArtifactCache> protected_cache = nullptr)
@@ -142,10 +159,43 @@ class EvalContext {
         actual_cache_(std::move(actual_cache)),
         protected_cache_(std::move(protected_cache)) {}
 
+  /// Per-user context: `protected_trace` is the protected trace of
+  /// actual user `user`, the only protected data it serves. Supports
+  /// TraceMetric::evaluate_trace for that user and nothing
+  /// dataset-level. `protected_cache` may span a whole trial: keys carry
+  /// the user, and a trial's users get distinct indices.
+  EvalContext(const trace::Dataset& actual, std::size_t user,
+              const trace::Trace& protected_trace,
+              std::shared_ptr<ArtifactCache> actual_cache = nullptr,
+              std::shared_ptr<ArtifactCache> protected_cache = nullptr)
+      : actual_(&actual),
+        protected_trace_(&protected_trace),
+        user_(user),
+        actual_cache_(std::move(actual_cache)),
+        protected_cache_(std::move(protected_cache)) {}
+
   [[nodiscard]] const trace::Dataset& actual() const { return *actual_; }
-  [[nodiscard]] const trace::Dataset& protected_data() const { return *protected_; }
+  /// The whole protected dataset. Throws std::logic_error on a
+  /// per-user context.
+  [[nodiscard]] const trace::Dataset& protected_data() const {
+    if (protected_ == nullptr) throw_per_user("protected_data()");
+    return *protected_;
+  }
+  /// actual() or protected_data(); kProtected throws std::logic_error on
+  /// a per-user context.
   [[nodiscard]] const trace::Dataset& dataset(Side side) const {
-    return side == Side::kActual ? *actual_ : *protected_;
+    if (side == Side::kActual) return *actual_;
+    if (protected_ == nullptr) throw_per_user("dataset(Side::kProtected)");
+    return *protected_;
+  }
+  /// Trace `user` of `side` — the accessor trace-level metrics read the
+  /// protected side through. On a per-user context the protected side
+  /// holds only its own user; any other index throws std::logic_error.
+  [[nodiscard]] const trace::Trace& trace(Side side, std::size_t user) const {
+    if (side == Side::kActual) return (*actual_)[user];
+    if (protected_ != nullptr) return (*protected_)[user];
+    if (user != user_) throw_per_user("trace(Side::kProtected, another user)");
+    return *protected_trace_;
   }
 
   [[nodiscard]] const std::shared_ptr<ArtifactCache>& cache(Side side) const {
@@ -191,8 +241,13 @@ class EvalContext {
   }
 
  private:
+  /// Throws std::logic_error naming `what` and this context's user.
+  [[noreturn]] void throw_per_user(const char* what) const;
+
   const trace::Dataset* actual_;
-  const trace::Dataset* protected_;
+  const trace::Dataset* protected_ = nullptr;      ///< null on a per-user context
+  const trace::Trace* protected_trace_ = nullptr;  ///< set on a per-user context only
+  std::size_t user_ = 0;                           ///< the per-user context's user
   std::shared_ptr<ArtifactCache> actual_cache_;
   std::shared_ptr<ArtifactCache> protected_cache_;
   const SplitView* split_ = nullptr;

@@ -71,12 +71,21 @@ class Metric {
 /// reports the aggregate).
 class TraceMetric : public Metric {
  public:
-  /// Per-user score: scores user `user` of the context's dataset pair,
-  /// sourcing derived artifacts from the context's caches.
+  /// Per-user score: scores user `user` of the context, sourcing derived
+  /// artifacts from the context's caches.
+  ///
+  /// Contract: read protected data only through
+  /// ctx.trace(Side::kProtected, user), directly or through the
+  /// metrics/artifacts.h helpers, and never through protected_data() or
+  /// dataset(Side::kProtected). A streamed sweep trial calls this with
+  /// a per-user context that holds only `user`'s protected trace (see
+  /// eval_context.h); the actual side may be read for any user.
   [[nodiscard]] virtual double evaluate_trace(const EvalContext& ctx, std::size_t user) const = 0;
 
-  /// Mean of per-user scores; verifies the datasets pair up.
-  [[nodiscard]] double evaluate(const EvalContext& ctx) const override;
+  /// Mean of per-user scores, summed in user order; verifies the
+  /// datasets pair up. Final: the streamed trial computes the same sum
+  /// one user at a time, which is only equal if no subclass changes it.
+  [[nodiscard]] double evaluate(const EvalContext& ctx) const final;
 
   /// Mean of per-user scores over exactly the listed users — the
   /// subset form every trace-level metric gets for free.

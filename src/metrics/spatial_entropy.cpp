@@ -38,7 +38,7 @@ double SpatialEntropyGain::evaluate_trace(const EvalContext& ctx, std::size_t us
   const std::uint64_t params = ParamHash().add(cell_size_m_).digest();
   const auto entropy_of = [&](Side side) {
     return ctx.artifact<double>(side, user, "cell-entropy", params, [&] {
-      return cell_entropy(ctx.dataset(side)[user], geo::Grid(cell_size_m_));
+      return cell_entropy(ctx.trace(side, user), geo::Grid(cell_size_m_));
     });
   };
   return *entropy_of(Side::kProtected) - *entropy_of(Side::kActual);

@@ -69,7 +69,7 @@ std::shared_ptr<const trace::Trace> tracking_estimate_artifact(const EvalContext
       Side::kProtected, user, "tracking-estimate", estimate_params_hash(ctx, cfg), [&] {
         const std::shared_ptr<const attack::TrackingPrior> prior =
             tracking_prior_artifact(ctx, user, cfg);
-        return attack::track_trace(ctx.protected_data()[user], *prior, cfg);
+        return attack::track_trace(ctx.trace(Side::kProtected, user), *prior, cfg);
       });
 }
 
@@ -83,7 +83,7 @@ const std::string& TrackingError::name() const {
 double TrackingError::evaluate_trace(const EvalContext& ctx, std::size_t user) const {
   const std::shared_ptr<const trace::Trace> estimate =
       tracking_estimate_artifact(ctx, user, cfg_);
-  return attack::mean_tracking_error_m(ctx.actual()[user], *estimate);
+  return attack::mean_tracking_error_m(ctx.trace(Side::kActual, user), *estimate);
 }
 
 TrackingReident::TrackingReident(attack::TrackingConfig tracking, attack::ReidentConfig reident)

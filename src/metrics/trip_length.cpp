@@ -20,11 +20,11 @@ double TripLengthError::evaluate_trace(const EvalContext& ctx, std::size_t user)
   // churn, and the columnar kernel vectorizes.
   const double actual_len = *ctx.artifact<double>(
       Side::kActual, user, "path-length", ParamHash().digest(), [&] {
-        const trace::Trace& t = ctx.actual()[user];
+        const trace::Trace& t = ctx.trace(Side::kActual, user);
         return geo::path_length(t.xs(), t.ys());
       });
   if (actual_len <= 0.0) return 0.0;
-  const trace::Trace& prot = ctx.protected_data()[user];
+  const trace::Trace& prot = ctx.trace(Side::kProtected, user);
   const double protected_len = geo::path_length(prot.xs(), prot.ys());
   return std::abs(protected_len - actual_len) / actual_len;
 }

@@ -17,7 +17,7 @@ double WorstCasePoiRetrieval::evaluate_trace(const EvalContext& ctx, std::size_t
   // Ground truth is shared across adversaries (and, through the cache,
   // with every other POI metric using the same extractor).
   const auto ground_truth = poi_artifact(ctx, Side::kActual, user, cfg_.naive.ground_truth);
-  const trace::Trace& protected_trace = ctx.protected_data()[user];
+  const trace::Trace& protected_trace = ctx.trace(Side::kProtected, user);
   double worst = attack::run_poi_attack(*ground_truth, protected_trace, cfg_.naive).match.recall;
   worst = std::max(worst, attack::run_smoothing_attack(*ground_truth, protected_trace,
                                                        cfg_.smoothing)

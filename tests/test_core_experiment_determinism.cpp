@@ -16,9 +16,13 @@
 
 #include "core/experiment.h"
 #include "core/sweep.h"
+#include "lppm/registry.h"
 #include "metrics/eval_context.h"
+#include "metrics/registry.h"
 #include "obs/tracer.h"
 #include "core/system_definition.h"
+#include "stats/online.h"
+#include "stats/rng.h"
 #include "service/gateway.h"
 #include "service/load_driver.h"
 #include "test_util.h"
@@ -139,6 +143,139 @@ TEST(SweepDeterminism, ExternallySuppliedWarmCacheIsBitIdentical) {
   EXPECT_GT(cfg.artifact_cache->stats().misses, 0u);
   const core::SweepResult warm = core::run_sweep(def, data, cfg);
   expect_bit_identical(cold, warm, "cold vs warm external cache");
+}
+
+// ------------------------------------------------------ streamed trials
+
+// With two trace-level metrics and no split, a trial protects and
+// scores one user at a time instead of building its whole protected
+// dataset. The reference below is the whole-dataset path spelled out:
+// protect_dataset, then Metric::evaluate on fresh caches, reduced in
+// trial order. The streamed evaluate_point must equal it bit for bit.
+core::SweepPoint whole_dataset_reference(const core::SystemDefinition& def,
+                                         const trace::Dataset& data, double value,
+                                         std::size_t trials, std::uint64_t seed) {
+  const std::unique_ptr<lppm::Mechanism> mechanism = def.mechanism_factory();
+  mechanism->set_parameter(def.sweep.parameter, value);
+  stats::OnlineMoments pr;
+  stats::OnlineMoments ut;
+  for (std::size_t trial = 0; trial < trials; ++trial) {
+    const trace::Dataset protected_data =
+        mechanism->protect_dataset(data, stats::derive_seed(seed, trial));
+    const metrics::EvalContext ctx(data, protected_data,
+                                   std::make_shared<metrics::ArtifactCache>(),
+                                   std::make_shared<metrics::ArtifactCache>());
+    pr.add(def.privacy->evaluate(ctx));
+    ut.add(def.utility->evaluate(ctx));
+  }
+  core::SweepPoint point;
+  point.privacy_mean = pr.mean();
+  point.privacy_stddev = pr.stddev();
+  point.utility_mean = ut.mean();
+  point.utility_stddev = ut.stddev();
+  return point;
+}
+
+/// Registry names of the trace-level metrics on one axis.
+std::vector<std::string> trace_metric_names(bool privacy_axis) {
+  std::vector<std::string> names;
+  for (const std::string& name : metrics::metric_names()) {
+    const std::unique_ptr<metrics::Metric> m = metrics::create_metric(name);
+    if (dynamic_cast<const metrics::TraceMetric*>(m.get()) != nullptr &&
+        metrics::is_privacy_direction(m->direction()) == privacy_axis) {
+      names.push_back(name);
+    }
+  }
+  return names;
+}
+
+TEST(StreamedTrial, EveryTraceMetricMatchesTheWholeDatasetReference) {
+  const std::vector<std::string> privacy_names = trace_metric_names(true);
+  const std::vector<std::string> utility_names = trace_metric_names(false);
+  // 12 registry names over 11 classes (area coverage has two flavors).
+  ASSERT_EQ(privacy_names.size() + utility_names.size(), 12u);
+  // Every trace metric is scored once, each paired with one of the
+  // other axis, cycling through that axis.
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (std::size_t i = 0; i < privacy_names.size(); ++i) {
+    pairs.emplace_back(privacy_names[i], utility_names[i % utility_names.size()]);
+  }
+  for (std::size_t i = 0; i < utility_names.size(); ++i) {
+    pairs.emplace_back(privacy_names[i % privacy_names.size()], utility_names[i]);
+  }
+
+  const trace::Dataset data = testutil::two_stop_dataset(4);
+  constexpr std::size_t kTrials = 3;
+  constexpr std::uint64_t kSeed = 2016;
+  // Geo-I keeps every report; release-dropout drops some, so protected
+  // traces are shorter than their actual ones.
+  const std::vector<std::pair<std::string, double>> mechanisms = {
+      {"geo-indistinguishability", 0.01}, {"release-dropout", 0.5}};
+  for (const auto& [mechanism_name, value] : mechanisms) {
+    for (const auto& [privacy_name, utility_name] : pairs) {
+      core::SystemDefinition def;
+      def.mechanism_factory = [name = mechanism_name] { return lppm::create_mechanism(name); };
+      def.sweep.parameter = def.mechanism_factory()->parameters().front().name;
+      def.privacy = metrics::create_metric(privacy_name);
+      def.utility = metrics::create_metric(utility_name);
+      const core::SweepPoint reference =
+          whole_dataset_reference(def, data, value, kTrials, kSeed);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (const bool with_cache : {false, true}) {
+          const auto cache = with_cache ? std::make_shared<metrics::ArtifactCache>() : nullptr;
+          const core::SweepPoint streamed =
+              core::evaluate_point(def, data, value, kTrials, kSeed, cache, threads);
+          const std::string what = mechanism_name + " " + privacy_name + " / " + utility_name +
+                                   ", threads " + std::to_string(threads) +
+                                   (with_cache ? ", cached" : ", uncached");
+          EXPECT_TRUE(bit_equal(streamed.privacy_mean, reference.privacy_mean)) << what;
+          EXPECT_TRUE(bit_equal(streamed.privacy_stddev, reference.privacy_stddev)) << what;
+          EXPECT_TRUE(bit_equal(streamed.utility_mean, reference.utility_mean)) << what;
+          EXPECT_TRUE(bit_equal(streamed.utility_stddev, reference.utility_stddev)) << what;
+        }
+      }
+    }
+  }
+}
+
+// The path is chosen from the system definition: two trace-level
+// metrics stream (one protect_dataset span per user, carrying its
+// index), a dataset-level metric keeps one whole-dataset protection per
+// trial.
+TEST(StreamedTrial, PathFollowsTheMetricsAndEmitsOneProtectSpanPerUser) {
+  const trace::Dataset data = testutil::two_stop_dataset(4);
+  const auto protect_spans = [&](const core::SystemDefinition& def) {
+    obs::Tracer::instance().enable();
+    (void)core::evaluate_point(def, data, 0.01, /*trials=*/2, /*seed=*/7);
+    obs::Tracer::instance().disable();
+    const io::JsonValue doc = obs::Tracer::instance().trace_json();
+    obs::Tracer::instance().reset();
+    std::vector<double> users;
+    for (const io::JsonValue& e : doc.at("traceEvents").as_array()) {
+      if (e.at("name").as_string() != "protect_dataset") continue;
+      const io::JsonObject& event = e.as_object();
+      const auto args = event.find("args");
+      users.push_back(args != event.end() ? args->second.at("user").as_number() : -1.0);
+    }
+    std::sort(users.begin(), users.end());
+    return users;
+  };
+  core::SystemDefinition streamed = core::make_geo_i_system(5);
+  EXPECT_EQ(protect_spans(streamed), (std::vector<double>{0, 0, 1, 1, 2, 2, 3, 3}));
+  core::SystemDefinition whole = core::make_geo_i_system(5);
+  whole.privacy = metrics::create_metric("reidentification-rate");
+  EXPECT_EQ(protect_spans(whole), (std::vector<double>{-1, -1}));
+}
+
+// The streamed path must not turn an empty dataset into 0/0 = NaN: it
+// throws, as TraceMetric::evaluate does on the whole-dataset path.
+TEST(StreamedTrial, EmptyDatasetThrowsInvalidArgument) {
+  const core::SystemDefinition def = core::make_geo_i_system(5);
+  const trace::Dataset empty;
+  EXPECT_THROW((void)core::evaluate_point(def, empty, 0.01, 2, 7), std::invalid_argument);
+  EXPECT_THROW((void)core::evaluate_point(def, empty, 0.01, 2, 7,
+                                          std::make_shared<metrics::ArtifactCache>(), 4),
+               std::invalid_argument);
 }
 
 // -------------------------------------------------- split-mode sweeps

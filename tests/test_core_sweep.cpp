@@ -157,10 +157,12 @@ TEST(EvaluatePointPerUser, BreakdownAveragesToDatasetMean) {
     pr_sum += breakdown[i].privacy;
     ut_sum += breakdown[i].utility;
   }
-  // One trial with the same seed: the per-user mean equals evaluate_point.
+  // One trial with the same seed: both run the same per-user loop and
+  // sum in user order, so the per-user mean equals evaluate_point bit
+  // for bit.
   const SweepPoint point = evaluate_point(def, data, 0.01, 1, 7);
-  EXPECT_NEAR(pr_sum / 4.0, point.privacy_mean, 1e-12);
-  EXPECT_NEAR(ut_sum / 4.0, point.utility_mean, 1e-12);
+  EXPECT_EQ(pr_sum / 4.0, point.privacy_mean);
+  EXPECT_EQ(ut_sum / 4.0, point.utility_mean);
 }
 
 TEST(EvaluatePointPerUser, RejectsDatasetLevelMetrics) {

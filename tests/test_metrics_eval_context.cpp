@@ -71,6 +71,54 @@ TEST(EvalContextParity, EveryRegisteredMetricIsBitIdenticalCachedAndUncached) {
   EXPECT_GT(stats.hits, 0u);
 }
 
+// --------------------------------------------------- per-user contexts
+
+// A per-user context holds one protected trace. Everything that would
+// reach the rest of the protected side throws std::logic_error instead
+// of dereferencing a dataset it does not have.
+TEST(EvalContextPerUser, ServesOnlyItsOwnProtectedTrace) {
+  const DatasetPair data = make_pair();
+  const std::size_t user = 1;
+  const trace::Trace& protected_trace = data.protected_data[user];
+  const EvalContext ctx(data.actual, user, protected_trace);
+
+  EXPECT_EQ(&ctx.trace(Side::kProtected, user), &protected_trace);
+  EXPECT_EQ(&ctx.actual(), &data.actual);
+  EXPECT_EQ(&ctx.dataset(Side::kActual), &data.actual);
+  for (std::size_t u = 0; u < data.actual.size(); ++u) {
+    EXPECT_EQ(&ctx.trace(Side::kActual, u), &data.actual[u]) << u;
+  }
+
+  EXPECT_THROW((void)ctx.protected_data(), std::logic_error);
+  EXPECT_THROW((void)ctx.dataset(Side::kProtected), std::logic_error);
+  EXPECT_THROW((void)ctx.trace(Side::kProtected, 0), std::logic_error);
+  EXPECT_THROW((void)ctx.trace(Side::kProtected, 2), std::logic_error);
+  // A dataset-level score needs the whole protected side.
+  EXPECT_THROW((void)create_metric("poi-retrieval")->evaluate(ctx), std::logic_error);
+  EXPECT_THROW((void)create_metric("reidentification-rate")->evaluate(ctx), std::logic_error);
+}
+
+// Every trace metric scores a user identically through a per-user
+// context and through the whole-dataset one.
+TEST(EvalContextPerUser, EveryTraceMetricScoresAUserAsTheWholeDatasetContextDoes) {
+  const DatasetPair data = make_pair();
+  const EvalContext whole(data.actual, data.protected_data);
+  std::size_t trace_metrics = 0;
+  for (const std::string& name : metric_names()) {
+    const auto metric = create_metric(name);
+    const auto* trace_metric = dynamic_cast<const TraceMetric*>(metric.get());
+    if (trace_metric == nullptr) continue;
+    ++trace_metrics;
+    for (std::size_t u = 0; u < data.actual.size(); ++u) {
+      const EvalContext per_user(data.actual, u, data.protected_data[u]);
+      EXPECT_TRUE(bit_equal(trace_metric->evaluate_trace(per_user, u),
+                            trace_metric->evaluate_trace(whole, u)))
+          << name << " user " << u;
+    }
+  }
+  EXPECT_EQ(trace_metrics, 12u);
+}
+
 // ------------------------------------------------------------- accounting
 
 TEST(ArtifactCacheAccounting, WarmPassAddsHitsButNoMisses) {
